@@ -242,14 +242,9 @@ def evolve_generation(
             continue
         partner = pool.popleft()
         if n_features >= 2 and rng.random() < config.crossover_rate:
-            while True:
-                cut = int(rng.integers(1, n_features))
-                try:
-                    child, _ = count_preserving_crossover(original, partner, cut, rng)
-                except CrossoverAlignmentError:
-                    continue  # impossible for equal counts, possible for unequal
-                break
-            successors[i] = child
+            # Partners share the slot's cardinality, so the cut always aligns.
+            cut = int(rng.integers(1, n_features))
+            successors[i], _ = count_preserving_crossover(original, partner, cut, rng)
         else:
             successors[i] = partner
 

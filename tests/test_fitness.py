@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import tribefs as t
+from tribefs import fitness
 
 from conftest import make_blobs
+from svm_reference import margin_objective, pair_problems, reference_linear_svm
 
 
 def informative_mask(n_features=8, columns=(0, 1)):
@@ -90,8 +92,7 @@ class TestLinearSVM:
         rng = np.random.default_rng(0)
         X = np.vstack([rng.normal(-10.0, 1.0, (30, 3)), rng.normal(10.0, 1.0, (30, 3))])
         y = np.repeat([0, 1], 30)
-        # A heavy penalty still separates perfectly even when the optimizer's
-        # strict success flag trips on line-search precision.
+        # A heavy penalty still separates perfectly.
         assert np.array_equal(t.train_linear_svm(X, y, C=1000.0).predict(X), y)
         model = t.train_linear_svm(X, y, C=10.0)
         assert np.array_equal(model.predict(X), y)
@@ -121,6 +122,91 @@ class TestLinearSVM:
     def test_single_class_raises(self):
         with pytest.raises(ValueError, match="two classes"):
             t.train_linear_svm(np.zeros((4, 2)), np.zeros(4))
+
+    def test_iteration_cap_reports_nonconvergence(self):
+        rng = np.random.default_rng(3)
+        X = np.vstack([rng.normal(-3.0, 1.0, (30, 4)), rng.normal(3.0, 1.0, (30, 4))])
+        y = np.repeat([0, 1], 30)
+        assert t.train_linear_svm(X, y, C=10.0).converged
+        capped = t.train_linear_svm(X, y, C=10.0, max_iter=1)
+        assert not capped.converged
+        assert np.isfinite(capped.weights).all() and np.isfinite(capped.biases).all()
+
+    @pytest.mark.parametrize("degenerate", ["constant", "duplicated"])
+    def test_singular_system_gives_finite_model(self, degenerate, monkeypatch):
+        # A huge penalty rounds the Newton system of a constant column (which
+        # mirrors the bias) or of two equal columns to exactly singular.
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(40, 3))
+        y = np.repeat([0, 1], 20)
+        X[:, 0] += 3.0 * y
+        if degenerate == "constant":
+            X[:, 2] = 5.0
+        else:
+            X[:, 1] = X[:, 0]
+        fallbacks = []
+        pinv = np.linalg.pinv
+        monkeypatch.setattr(
+            np.linalg, "pinv", lambda a: fallbacks.append(a.shape) or pinv(a)
+        )
+        model = t.train_linear_svm(X, y, C=1e18)
+        assert fallbacks  # the singular path really ran
+        assert np.isfinite(model.weights).all() and np.isfinite(model.biases).all()
+
+    def test_empty_active_set_keeps_bias(self):
+        # With every margin at least 1 the bias has no curvature; the step
+        # shrinks w and leaves the bias where it is instead of failing.
+        Z = np.array([[[2.0, 1.0], [-2.0, 1.0]]])
+        y = np.array([[1.0, -1.0]])
+        v = np.array([[3.0, 0.25]])
+        target = fitness._piece_minimizers(Z, y, np.zeros((1, 2), dtype=bool), v, 1.0)
+        assert np.array_equal(target, [[0.0, 0.25]])
+
+
+class TestSolverParity:
+    """The batched finite Newton solver against the L-BFGS reference."""
+
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    def test_fold_accuracies_match_reference(self, n_classes):
+        dataset = make_blobs(
+            n_features=10, informative=(0, 1, 2), separation=1.5,
+            seed=20 + n_classes, n_classes=n_classes,
+        )
+        protocol = t.FitnessProtocol(folds=5)
+        plan = t.stratified_folds(dataset, 5, 0)
+        rng = np.random.default_rng(n_classes)
+        for _ in range(100):
+            mask = (rng.random(10) < rng.uniform(0.1, 0.9)).astype(np.uint8)
+            mask[rng.integers(10)] = 1
+            X = dataset.instances[:, np.flatnonzero(mask)]
+            y = dataset.labels
+            training, testing = [], []
+            for fold in range(plan.k):
+                train_idx, test_idx = plan.train_indices(fold), plan.test_indices(fold)
+                X_train, X_test = fitness._standardize(X[train_idx], X[test_idx])
+                training.append((X_train, y[train_idx]))
+                testing.append((X_test, y[test_idx]))
+            models = fitness._fit_linear_svms(training, 1.0, 1000)
+            percents = []
+            for model, (X_train, y_train), (X_test, y_test) in zip(
+                models, training, testing
+            ):
+                assert model.converged
+                reference = reference_linear_svm(X_train, y_train)
+                assert np.array_equal(model.predict(X_test), reference.predict(X_test))
+                for p, (rows, signs) in enumerate(pair_problems(X_train, y_train)):
+                    ours = margin_objective(
+                        rows, signs, 1.0, model.weights[p], model.biases[p]
+                    )
+                    theirs = margin_objective(
+                        rows, signs, 1.0, reference.weights[p], reference.biases[p]
+                    )
+                    assert ours <= theirs * (1.0 + 1e-9)
+                hits = reference.predict(X_test) == y_test
+                percents.append(100.0 * float(np.mean(hits)))
+            assert t.kfold_accuracy(dataset, mask, protocol, plan) == float(
+                np.mean(percents)
+            )
 
 
 class TestKfoldAccuracy:
