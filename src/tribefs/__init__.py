@@ -76,7 +76,7 @@ from .harness import (
     run_experiment,
     sweep,
 )
-from .oracle import OracleResult, brute_force_histogram, exhaustive_best_subset
+from .oracle import OracleResult, exhaustive_best_subset
 from .params import (
     MIN_SIGMA,
     SIGMA_CAP_COEFF,

@@ -11,7 +11,7 @@ live in :mod:`tribefs.evolution` and :mod:`tribefs.competition`.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,12 +38,15 @@ class Individual:
 
     The mask is stored as a read-only uint8 vector so individuals can be
     shared freely between tribes and selection draws; operators produce new
-    individuals instead of editing masks in place. ``fitness`` is the
-    cross-validated accuracy in percent, ``None`` until evaluated.
+    individuals instead of editing masks in place. ``count`` is the number
+    of selected features, computed once here; the mask cannot change, so it
+    never goes stale. ``fitness`` is the cross-validated accuracy in
+    percent, ``None`` until evaluated.
     """
 
     mask: np.ndarray
     fitness: float | None = None
+    count: int = field(init=False, repr=False)
 
     def __post_init__(self):
         mask = np.ascontiguousarray(self.mask, dtype=np.uint8)
@@ -51,10 +54,12 @@ class Individual:
             raise ValueError("mask must be a non-empty 1-D bit vector")
         if mask.max() > 1:
             raise ValueError("mask entries must be 0 or 1")
-        if not mask.any():
+        count = int(np.count_nonzero(mask))
+        if count == 0:
             raise ValueError("the empty feature subset is not admissible")
         mask.flags.writeable = False
         self.mask = mask
+        self.count = count
 
     @property
     def n_features(self) -> int:
@@ -120,8 +125,11 @@ class Population:
 
 
 def count_selected(individual: Individual) -> int:
-    """Number of features the individual selects (popcount of the mask)."""
-    return int(individual.mask.sum())
+    """Number of features the individual selects (popcount of the mask).
+
+    O(1): the count is taken once, when the individual is built.
+    """
+    return individual.count
 
 
 def histogram(tribe: Tribe) -> CountHistogram:

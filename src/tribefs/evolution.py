@@ -163,32 +163,33 @@ def paired_mutation(
     Each individual mutates with probability ``mutation_rate``. The primary
     flip targets a uniformly chosen position; its direction follows the
     current bit value. A partner is drawn from the cardinality class the
-    primary individual is about to leave towards (pre-flip counts, partner
-    distinct from the mutant) and flips one bit the opposite way, so the
-    class sizes are unchanged. The mutation is cancelled when no partner
-    exists or when losing a bit would empty the subset.
+    primary individual is about to leave towards (pre-flip counts; the
+    mutant itself is never in that class) and flips one bit the opposite
+    way, so the class sizes are unchanged. The mutation is cancelled when no
+    partner exists or when losing a bit would empty the subset.
+
+    Partners are looked up in a per-slot count vector built once from the
+    individuals' cached counts; a paired flip swaps the two slots' entries,
+    since mutant and partner trade classes. Candidates are taken in slot
+    order, so the draws match a scan of the whole tribe.
     """
     individuals = list(tribe.individuals)
-    n = len(individuals)
+    counts = np.array([ind.count for ind in individuals])
     n_features = tribe.n_features
-    for i in range(n):
+    for i in range(len(individuals)):
         if rng.random() >= config.mutation_rate:
             continue
         position = int(rng.integers(n_features))
         mask_i = individuals[i].mask
-        m = int(mask_i.sum())
+        m = int(counts[i])
         gaining = mask_i[position] == 0
         if not gaining and m == 1:
             continue  # losing the only set bit would empty the subset
         partner_class = m + 1 if gaining else m - 1
-        partners = [
-            j
-            for j in range(n)
-            if j != i and count_selected(individuals[j]) == partner_class
-        ]
-        if not partners:
+        partners = np.flatnonzero(counts == partner_class)
+        if partners.size == 0:
             continue
-        j = partners[int(rng.integers(len(partners)))]
+        j = int(partners[rng.integers(partners.size)])
         mask_j = individuals[j].mask
         if gaining:
             partner_positions = np.flatnonzero(mask_j == 1)
@@ -197,6 +198,7 @@ def paired_mutation(
         partner_position = int(partner_positions[rng.integers(partner_positions.size)])
         individuals[i] = _flipped(individuals[i], position)
         individuals[j] = _flipped(individuals[j], partner_position)
+        counts[i], counts[j] = partner_class, m
     return Tribe(individuals=individuals, mu=tribe.mu, sigma=tribe.sigma)
 
 
@@ -224,10 +226,7 @@ def evolve_generation(
     replaces the weakest individual of its own cardinality class, so the
     best fitness never decreases and the histogram never changes.
     """
-    for idx, ind in enumerate(tribe.individuals):
-        _require_fitness(ind, idx)
     previous_best = tribe.individuals[best_index(tribe)]
-    n = tribe.size
     n_features = tribe.n_features
 
     selected = rank_selection(tribe, config, rng)

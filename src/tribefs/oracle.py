@@ -1,10 +1,8 @@
-"""Reference implementations the engine is checked against.
+"""Exhaustive reference search the engine is checked against.
 
 The exhaustive search scores every non-empty feature subset under the exact
 evaluation protocol the engine uses, so engine results can be compared for
-strict equality rather than proximity. The histogram recount is a deliberate
-reimplementation of the tribe histogram with plain Python loops; property
-tests use it to catch vectorization mistakes.
+strict equality rather than proximity.
 """
 
 from __future__ import annotations
@@ -14,11 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CountHistogram, Tribe
 from .data import Dataset, stratified_folds
 from .fitness import FitnessCache, FitnessProtocol, kfold_accuracy
 
-__all__ = ["OracleResult", "exhaustive_best_subset", "brute_force_histogram"]
+__all__ = ["OracleResult", "exhaustive_best_subset"]
 
 
 @dataclass(frozen=True)
@@ -74,15 +71,3 @@ def exhaustive_best_subset(
         evaluations=evaluations,
         wall_time=time.perf_counter() - start,
     )
-
-
-def brute_force_histogram(tribe: Tribe) -> CountHistogram:
-    """Recount a tribe's selected-count histogram without numpy."""
-    counts: CountHistogram = {}
-    for individual in tribe.individuals:
-        selected = 0
-        for bit in individual.mask.tolist():
-            if bit:
-                selected += 1
-        counts[selected] = counts.get(selected, 0) + 1
-    return counts

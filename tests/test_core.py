@@ -50,6 +50,23 @@ class TestIndividual:
         assert a.key() == b.key()
         assert a.key() != c.key()
 
+    def test_cached_count_matches_mask_sum(self):
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            width = int(rng.integers(1, 300))
+            mask = (rng.random(width) < rng.random()).astype(np.uint8)
+            if mask.any():
+                assert t.Individual(mask).count == int(mask.sum())
+            else:
+                with pytest.raises(ValueError, match="empty"):
+                    t.Individual(mask)
+        with pytest.raises(ValueError, match="empty"):
+            t.Individual(np.zeros(279, dtype=np.uint8))
+
+    def test_count_is_not_a_constructor_argument(self):
+        with pytest.raises(TypeError):
+            t.Individual(np.array([1, 0, 1], dtype=np.uint8), count=5)
+
     @given(bit_vectors())
     def test_count_matches_python_popcount(self, mask):
         expected = sum(int(b) for b in mask.tolist())

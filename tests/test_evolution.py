@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import tribefs as t
 
+import engine_reference
 from conftest import make_tribe, surrogate_fitness
 
 
@@ -274,6 +275,70 @@ class TestPairedMutation:
         for ind, original in zip(mutated.individuals, tribe.individuals):
             if not np.array_equal(ind.mask, original.mask):
                 assert ind.fitness is None
+
+
+def _random_tribe(n_features, size, center, spread, seed):
+    """Evaluated tribe whose counts spread around ``center``."""
+    rng = np.random.default_rng(seed)
+    offsets = rng.integers(-spread, spread + 1, size=size)
+    individuals = []
+    for m in np.clip(center + offsets, 1, n_features):
+        ind = t.sample_individual(n_features, int(m), rng)
+        ind.fitness = float(rng.uniform(50.0, 100.0))
+        individuals.append(ind)
+    return t.Tribe(individuals=individuals, mu=float(center), sigma=1.0)
+
+
+def _assert_matches_reference(tribe, mutation_rate, seed):
+    config = t.EvolutionConfig(mutation_rate=mutation_rate)
+    rng = np.random.default_rng(seed)
+    reference_rng = np.random.default_rng(seed)
+    got = t.paired_mutation(tribe, config, rng)
+    want = engine_reference.paired_mutation(tribe, config, reference_rng)
+    assert [(ind.key(), ind.fitness) for ind in got.individuals] == [
+        (ind.key(), ind.fitness) for ind in want.individuals
+    ]
+    assert all(ind.count == int(ind.mask.sum()) for ind in got.individuals)
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+class TestPairedMutationMatchesReference:
+    """The count-vector lookup draws exactly as the quadratic partner scan."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        n_features=st.integers(6, 279),
+        size=st.integers(1, 300),
+        center_share=st.floats(0.0, 1.0),
+        spread=st.integers(0, 3),
+        mutation_rate=st.sampled_from([0.1, 0.5, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_tribes(
+        self, n_features, size, center_share, spread, mutation_rate, seed
+    ):
+        center = 1 + int(center_share * (n_features - 1))
+        tribe = _random_tribe(n_features, size, center, spread, seed)
+        _assert_matches_reference(tribe, mutation_rate, seed + 1)
+
+    def test_empty_partner_classes(self):
+        # One class, then two classes three apart: no mutant ever finds a
+        # partner, yet both versions must consume the same draws.
+        for counts in ({4: 8}, {2: 5, 5: 5}):
+            tribe = make_tribe(counts, n_features=12, seed=3)
+            for seed in range(20):
+                _assert_matches_reference(tribe, 1.0, seed)
+
+    def test_one_bit_individual_losing_its_bit(self):
+        tribe = make_tribe({1: 4, 2: 4}, n_features=6, seed=7)
+        first = tribe.individuals[0]
+        hits = 0
+        for seed in range(30):
+            probe = np.random.default_rng(seed)
+            probe.random()
+            hits += int(first.mask[int(probe.integers(6))])
+            _assert_matches_reference(tribe, 1.0, seed)
+        assert hits > 0  # slot 0 drew its own set bit at least once
 
 
 class TestEvolveGeneration:
