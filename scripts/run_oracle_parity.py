@@ -33,7 +33,6 @@ def main(argv=None):
         seed=args.seed,
         runs=1,
         max_generations=args.max_generations,
-        patience=args.max_generations,
     )
     try:
         dataset = t.resolve_dataset(config)
@@ -53,42 +52,17 @@ def main(argv=None):
 
     evaluate = t.make_evaluator(dataset, protocol, cache)
     plan = config.plan(dataset.n_features)
-    rng_init, rng_evolve, rng_contest = (
-        np.random.default_rng(s)
-        for s in np.random.SeedSequence(config.seed).spawn(3)
-    )
-    population = t.init_population(plan, rng_init)
-    for tribe in population.tribes:
-        for ind in tribe.individuals:
-            ind.fitness = evaluate(ind)
-    evolution = config.evolution()
-    contest = config.competition()
-
-    best = -1.0
-    reached_at = None
-    for generation in range(1, config.max_generations + 1):
-        population = t.Population(
-            tribes=[
-                t.evolve_generation(tribe, evolution, evaluate, rng_evolve)
-                for tribe in population.tribes
-            ]
-        )
-        if generation % contest.interval == 0:
-            population, _ = t.apply_competition(
-                population, contest, evaluate, rng_contest
-            )
-        best = max(
-            best,
-            max(t.best_individual(tribe).fitness for tribe in population.tribes),
-        )
+    seed = np.random.SeedSequence(config.seed)
+    for generation, population, _ in t.generations(plan, config, evaluate, seed):
+        # Elitism keeps every tribe's best, so this never decreases.
+        best = max(t.best_individual(tribe).fitness for tribe in population.tribes)
         if best == oracle.best_accuracy:
-            reached_at = generation
             break
     engine_time = time.perf_counter() - started - oracle_time
     print(f"engine:     {best:.4f} ({engine_time:.1f}s)")
 
     if best == oracle.best_accuracy:
-        print(f"PARITY at generation {reached_at}")
+        print(f"PARITY at generation {generation}")
         return 0
     print(f"NO PARITY after {config.max_generations} generations "
           f"(gap {oracle.best_accuracy - best:.4f})")

@@ -19,6 +19,7 @@ from .core import (
     histogram,
     mask_from_string,
     mask_to_string,
+    rank_key,
 )
 from .data import (
     CsvSchema,
@@ -71,6 +72,7 @@ from .harness import (
     RunResult,
     TTestResult,
     friedman_test,
+    generations,
     paired_t_test,
     resolve_dataset,
     run_experiment,

@@ -20,8 +20,10 @@ from .core import (
     Population,
     Tribe,
     best_index,
+    best_individual,
     count_selected,
     histogram,
+    rank_key,
 )
 from .genesis import Allocation, allocate_counts, sample_individual
 
@@ -66,14 +68,13 @@ class CompetitionRecord:
 def rank_tribes(population: Population) -> list[int]:
     """Tribe indices from strongest to weakest.
 
-    A tribe's strength is its best individual's fitness; ties prefer the
-    tribe whose best selects fewer features, then the lower tribe index.
+    A tribe's strength is its best individual's :func:`rank_key`; the sort
+    is stable, so full ties keep the lower tribe index first.
     """
-    keys = []
-    for idx, tribe in enumerate(population.tribes):
-        best = tribe.individuals[best_index(tribe)]
-        keys.append((-best.fitness, count_selected(best), idx))
-    return [idx for _, _, idx in sorted(keys)]
+    tribes = population.tribes
+    return sorted(
+        range(len(tribes)), key=lambda idx: rank_key(best_individual(tribes[idx]))
+    )
 
 
 def resize_counts(

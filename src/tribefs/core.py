@@ -22,6 +22,7 @@ __all__ = [
     "Population",
     "count_selected",
     "histogram",
+    "rank_key",
     "best_index",
     "best_individual",
     "mask_from_string",
@@ -137,23 +138,28 @@ def histogram(tribe: Tribe) -> CountHistogram:
     return dict(Counter(count_selected(ind) for ind in tribe.individuals))
 
 
+def rank_key(individual: Individual) -> tuple[float, int]:
+    """Sort key of the one ranking order: higher fitness, then fewer features.
+
+    Callers add their own final tie-break: among tribe members and among
+    tribes the first in order wins, while the population best and the
+    exhaustive oracle append :meth:`Individual.key`.
+    """
+    return (-individual.fitness, individual.count)
+
+
 def best_index(tribe: Tribe) -> int:
     """Index of the tribe's best individual.
 
-    Ordering: highest fitness first; ties broken by fewer selected features,
-    then by lower index. Raises if any individual is unevaluated, because a
-    half-evaluated tribe has no well-defined best.
+    Ordering: :func:`rank_key`, then lower index. Raises if any individual
+    is unevaluated, because a half-evaluated tribe has no well-defined best.
     """
-    best: tuple | None = None
-    best_idx = -1
-    for idx, ind in enumerate(tribe.individuals):
+    individuals = tribe.individuals
+    for idx, ind in enumerate(individuals):
         if ind.fitness is None:
             raise ValueError(f"individual {idx} has no fitness; evaluate before ranking")
-        key = (-ind.fitness, count_selected(ind), idx)
-        if best is None or key < best:
-            best = key
-            best_idx = idx
-    return best_idx
+    keys = [rank_key(ind) for ind in individuals]
+    return keys.index(min(keys))
 
 
 def best_individual(tribe: Tribe) -> Individual:

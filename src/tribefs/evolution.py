@@ -112,7 +112,8 @@ def count_preserving_crossover(
     the child's count matches its parent's again.
 
     Raises :class:`CrossoverAlignmentError` when ``parent_j`` has fewer set
-    bits in total than the required prefix count; callers redraw the cut.
+    bits in total than the required prefix count. Parents of equal
+    cardinality, the only ones :func:`evolve_generation` pairs, always align.
     """
     n = parent_i.n_features
     if parent_j.n_features != n:

@@ -14,20 +14,15 @@ import dataclasses
 import hashlib
 import json
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 from scipy import stats as scipy_stats
 
-from .competition import CompetitionConfig, apply_competition
-from .core import (
-    Individual,
-    Population,
-    best_individual,
-    count_selected,
-    mask_to_string,
-)
+from .competition import CompetitionConfig, CompetitionRecord, apply_competition
+from .core import Individual, Population, best_individual, mask_to_string, rank_key
 from .data import CsvSchema, Dataset, load_csv, load_descriptors, load_named
 from .evolution import EvolutionConfig, evolve_generation
 from .fitness import FitnessCache, FitnessProtocol, make_evaluator
@@ -42,6 +37,7 @@ __all__ = [
     "RunResult",
     "RunReport",
     "resolve_dataset",
+    "generations",
     "run_experiment",
     "sweep",
     "SWEEPABLE",
@@ -360,7 +356,7 @@ def run_experiment(config: RunConfig, dataset: Dataset | None = None) -> RunRepo
     started = time.perf_counter()
     run_seeds = np.random.SeedSequence(config.seed).spawn(config.runs)
     results = tuple(
-        _single_run(r, seed, dataset, plan, config, evaluate, cache)
+        _single_run(r, seed, plan, config, evaluate, cache)
         for r, seed in enumerate(run_seeds)
     )
     accuracies = np.array([r.best_accuracy for r in results])
@@ -378,33 +374,38 @@ def run_experiment(config: RunConfig, dataset: Dataset | None = None) -> RunRepo
     )
 
 
-def _single_run(
-    run_index: int,
-    seed: np.random.SeedSequence,
-    dataset: Dataset,
+def generations(
     plan: TribePlan,
     config: RunConfig,
     evaluate,
-    cache: FitnessCache,
-) -> RunResult:
-    started = time.perf_counter()
-    misses_before = cache.misses
+    seed: np.random.SeedSequence,
+) -> Iterator[tuple[int, Population, CompetitionRecord | None]]:
+    """The search: seed the tribes, then evolve them one generation at a time.
+
+    Yields ``(generation, population, record)`` for the evaluated initial
+    population (generation 0, no record) and after each of the
+    ``config.max_generations`` generations, in which every tribe evolves
+    once and, every ``competition_interval`` generations, the tribes hold a
+    contest; ``record`` is that contest's :class:`CompetitionRecord`, or
+    ``None``. ``seed`` spawns the init, evolution and contest streams, so
+    equal seeds yield equal populations. There is no stop rule: callers
+    ``break`` (on patience, a target accuracy, ...).
+
+    The operators are looked up as this module's globals on every call, so
+    tracing can rebind ``tribefs.harness.init_population``,
+    ``evolve_generation`` and ``apply_competition`` from outside.
+    """
     init_seed, evolve_seed, contest_seed = seed.spawn(3)
     population = init_population(plan, np.random.default_rng(init_seed))
     for tribe in population.tribes:
         for individual in tribe.individuals:
             individual.fitness = evaluate(individual)
+    yield 0, population, None
 
     evolution = config.evolution()
     competition = config.competition()
     evolve_rng = np.random.default_rng(evolve_seed)
     contest_rng = np.random.default_rng(contest_seed)
-
-    best = _population_best(population)
-    history = [_record(0, population, best)]
-    events: list[CompetitionEvent] = []
-    last_improvement = 0
-    generations_run = 0
     for generation in range(1, config.max_generations + 1):
         population = Population(
             tribes=[
@@ -412,73 +413,68 @@ def _single_run(
                 for tribe in population.tribes
             ]
         )
+        record = None
         if generation % competition.interval == 0:
             population, record = apply_competition(
                 population, competition, evaluate, contest_rng
             )
-            if record is not None:
-                events.append(
-                    CompetitionEvent(
-                        generation=generation,
-                        winner=record.winner,
-                        loser=record.loser,
-                        sizes=record.sizes,
-                    )
+        yield generation, population, record
+
+
+def _single_run(
+    run_index: int,
+    seed: np.random.SeedSequence,
+    plan: TribePlan,
+    config: RunConfig,
+    evaluate,
+    cache: FitnessCache,
+) -> RunResult:
+    started = time.perf_counter()
+    misses_before = cache.misses
+    best: Individual | None = None
+    history: list[GenerationRecord] = []
+    events: list[CompetitionEvent] = []
+    last_improvement = 0
+    for generation, population, record in generations(plan, config, evaluate, seed):
+        if record is not None:
+            events.append(
+                CompetitionEvent(
+                    generation=generation,
+                    winner=record.winner,
+                    loser=record.loser,
+                    sizes=record.sizes,
                 )
-        generations_run = generation
-        challenger = _population_best(population)
-        if _better(challenger, best):
+            )
+        tribe_best = [best_individual(tribe) for tribe in population.tribes]
+        # Full ties keep the incumbent: min returns the first minimal item.
+        challenger = min(
+            tribe_best if best is None else [best, *tribe_best],
+            key=lambda ind: (rank_key(ind), ind.key()),
+        )
+        if challenger is not best:
             best = challenger
             last_improvement = generation
-        history.append(_record(generation, population, best))
+        history.append(
+            GenerationRecord(
+                generation=generation,
+                tribe_sizes=tuple(tribe.size for tribe in population.tribes),
+                tribe_best=tuple(float(ind.fitness) for ind in tribe_best),
+                best_accuracy=float(best.fitness),
+                best_count=best.count,
+            )
+        )
         if config.patience and generation - last_improvement >= config.patience:
             break
     return RunResult(
         run=run_index,
         best_mask=mask_to_string(best.mask),
         best_accuracy=best.fitness,
-        best_count=count_selected(best),
-        generations=generations_run,
+        best_count=best.count,
+        generations=generation,
         evaluations=cache.misses - misses_before,
         wall_time=time.perf_counter() - started,
         history=tuple(history),
         competitions=tuple(events),
-    )
-
-
-def _population_best(population: Population) -> Individual:
-    candidates = [best_individual(tribe) for tribe in population.tribes]
-    return min(
-        candidates,
-        key=lambda ind: (-ind.fitness, count_selected(ind), ind.mask.tobytes()),
-    )
-
-
-def _better(challenger: Individual, incumbent: Individual) -> bool:
-    challenger_key = (
-        -challenger.fitness,
-        count_selected(challenger),
-        challenger.mask.tobytes(),
-    )
-    incumbent_key = (
-        -incumbent.fitness,
-        count_selected(incumbent),
-        incumbent.mask.tobytes(),
-    )
-    return challenger_key < incumbent_key
-
-
-def _record(
-    generation: int, population: Population, best: Individual
-) -> GenerationRecord:
-    return GenerationRecord(
-        generation=generation,
-        tribe_sizes=tuple(tribe.size for tribe in population.tribes),
-        tribe_best=tuple(
-            float(best_individual(tribe).fitness) for tribe in population.tribes
-        ),
-        best_accuracy=float(best.fitness),
-        best_count=count_selected(best),
     )
 
 

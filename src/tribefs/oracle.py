@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import Individual, rank_key
 from .data import Dataset, stratified_folds
 from .fitness import FitnessCache, FitnessProtocol, kfold_accuracy
 
@@ -36,8 +37,9 @@ def exhaustive_best_subset(
 ) -> OracleResult:
     """Score all 2^N - 1 subsets and return the best.
 
-    Ties resolve exactly as the engine resolves them: higher accuracy, then
-    fewer selected features, then the lexicographically smallest mask.
+    Ties resolve exactly as the engine's population best resolves them:
+    :func:`~tribefs.core.rank_key` (higher accuracy, then fewer selected
+    features), then the lexicographically smallest mask.
     Refuses feature counts above ``max_features``; raise it knowingly for
     bigger searches. When a cache is supplied every subset's score lands in
     it, which lets an engine run replay the same numbers verbatim.
@@ -50,24 +52,20 @@ def exhaustive_best_subset(
         )
     fold_plan = stratified_folds(dataset, protocol.folds, protocol.fold_seed)
     start = time.perf_counter()
-    best_key = None
-    best_mask = None
-    best_accuracy = -1.0
-    evaluations = 0
-    for code in range(1, 1 << n):
-        mask = np.array([(code >> i) & 1 for i in range(n)], dtype=np.uint8)
-        accuracy = kfold_accuracy(dataset, mask, protocol, fold_plan)
-        evaluations += 1
-        if cache is not None:
-            cache.put(mask.tobytes(), accuracy)
-        key = (-accuracy, int(mask.sum()), mask.tobytes())
-        if best_key is None or key < best_key:
-            best_key = key
-            best_mask = mask
-            best_accuracy = accuracy
+
+    def scored():
+        for code in range(1, 1 << n):
+            mask = np.array([(code >> i) & 1 for i in range(n)], dtype=np.uint8)
+            accuracy = kfold_accuracy(dataset, mask, protocol, fold_plan)
+            subset = Individual(mask, accuracy)
+            if cache is not None:
+                cache.put(subset.key(), subset.fitness)
+            yield subset
+
+    best = min(scored(), key=lambda subset: (rank_key(subset), subset.key()))
     return OracleResult(
-        best_mask=best_mask,
-        best_accuracy=best_accuracy,
-        evaluations=evaluations,
+        best_mask=best.mask,
+        best_accuracy=best.fitness,
+        evaluations=(1 << n) - 1,
         wall_time=time.perf_counter() - start,
     )

@@ -96,39 +96,57 @@ def test_exhaustive_parity(capsys):
         oracle = t.exhaustive_best_subset(dataset, protocol, cache=cache)
         assert abs(oracle.best_accuracy - 98.09) <= 1.0
 
-        config = t.RunConfig(max_generations=100, patience=30, runs=1, seed=0)
+        config = t.RunConfig(max_generations=100, runs=1, seed=0)
         plan = config.plan(dataset.n_features)
         evaluate = t.make_evaluator(dataset, protocol, cache)
-        rng_init, rng_evolve, rng_contest = (
-            np.random.default_rng(s)
-            for s in np.random.SeedSequence(config.seed).spawn(3)
-        )
-        population = t.init_population(plan, rng_init)
-        for tribe in population.tribes:
-            for ind in tribe.individuals:
-                ind.fitness = evaluate(ind)
-        evolution = config.evolution()
-        contest = config.competition()
-        best = -1.0
-        for generation in range(1, config.max_generations + 1):
-            population = t.Population(
-                tribes=[
-                    t.evolve_generation(tribe, evolution, evaluate, rng_evolve)
-                    for tribe in population.tribes
-                ]
-            )
-            if generation % contest.interval == 0:
-                population, _ = t.apply_competition(
-                    population, contest, evaluate, rng_contest
-                )
-            best = max(
-                best,
-                max(t.best_individual(tribe).fitness for tribe in population.tribes),
-            )
+        seed = np.random.SeedSequence(config.seed)
+        for _, population, _ in t.generations(plan, config, evaluate, seed):
+            best = max(t.best_individual(tribe).fitness for tribe in population.tribes)
             if best == oracle.best_accuracy:
                 break
         assert best == oracle.best_accuracy
         assert time.perf_counter() - started < 1800.0
+
+
+def test_exhaustive_parity_blobs(capsys):
+    # The offline parity gate: ten features, so the exhaustive search scores
+    # all 1023 subsets into the cache the engine then reads. From three
+    # seeds, the engine's best subset must be the oracle's, bit for bit,
+    # within 100 generations.
+    with criterion(capsys, "exhaustive-parity-blobs"):
+        dataset = make_blobs(
+            n_per_class=30,
+            n_features=10,
+            informative=(0, 3, 7),
+            separation=1.0,
+            seed=5,
+            n_classes=3,
+        )
+        config = t.RunConfig(
+            tribe_size=10,
+            n_tribes=3,
+            allow_infeasible=True,
+            classifier="nearest-centroid",
+            folds=5,
+            max_generations=100,
+        )
+        cache = t.FitnessCache()
+        oracle = t.exhaustive_best_subset(dataset, config.protocol(), cache=cache)
+        evaluate = t.make_evaluator(dataset, config.protocol(), cache)
+        plan = config.plan(dataset.n_features)
+        for seed in range(3):
+            searched = t.generations(
+                plan, config, evaluate, np.random.SeedSequence(seed)
+            )
+            for _, population, _ in searched:
+                best = min(
+                    (t.best_individual(tribe) for tribe in population.tribes),
+                    key=lambda ind: (t.rank_key(ind), ind.key()),
+                )
+                if best.key() == oracle.best_mask.tobytes():
+                    break
+            assert best.key() == oracle.best_mask.tobytes(), f"seed {seed}"
+            assert best.fitness == oracle.best_accuracy
 
 
 def test_layout_table(capsys):

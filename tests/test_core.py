@@ -125,6 +125,13 @@ class TestBestIndividual:
         tribe = t.Tribe(individuals=[first, second], mu=2.0, sigma=1.0)
         assert t.best_index(tribe) == 0
 
+    def test_rank_key_orders_fitness_then_count(self):
+        slim_low = t.Individual(t.mask_from_string("100000"), fitness=80.0)
+        wide_high = t.Individual(t.mask_from_string("111100"), fitness=90.0)
+        slim_high = t.Individual(t.mask_from_string("001000"), fitness=90.0)
+        ranked = sorted([slim_low, wide_high, slim_high], key=t.rank_key)
+        assert ranked == [slim_high, wide_high, slim_low]
+
     def test_unevaluated_tribe_raises(self):
         tribe = make_tribe({4: 2}, evaluated=False)
         with pytest.raises(ValueError, match="no fitness"):

@@ -286,3 +286,120 @@ class TestPairedTTest:
             t.paired_t_test([1.0, 2.0], [1.0])
         with pytest.raises(ValueError):
             t.paired_t_test([1.0], [2.0])
+
+
+class TestPinnedReports:
+    """Exact report fingerprints of two seeded configs.
+
+    A changed tie-break, patience count or draw order changes them; a
+    refactor of the generation loop must not.
+    """
+
+    def test_patience_stops_runs_early(self, small_dataset):
+        config = tiny_config(max_generations=40, patience=3)
+        report = t.run_experiment(config, small_dataset)
+        assert [r.generations for r in report.results] == [7, 6]
+        assert report.fingerprint() == (
+            "8358b7e582bdbd1022faadb0b792f1aef7d3e2ce7fbc862f61e12a58ae0a543f"
+        )
+
+    def test_contests_with_fitness_ties(self):
+        # Eight features, three folds and nearest-centroid leave few distinct
+        # accuracies: tribe bests tie on fitness in every generation, and
+        # often on cardinality too, so both tie-breaks decide the report.
+        dataset = make_blobs(
+            n_per_class=15, n_features=8, informative=(0, 1), separation=1.5, seed=3
+        )
+        config = tiny_config(
+            n_tribes=3,
+            allow_infeasible=True,
+            competition_interval=1,
+            max_generations=12,
+            runs=1,
+            seed=11,
+        )
+        report = t.run_experiment(config, dataset)
+        result = report.results[0]
+        assert len(result.competitions) == 12
+        assert all(len(set(g.tribe_best)) < 3 for g in result.history)
+        assert report.fingerprint() == (
+            "4447669db56a42592c7391f6ed5e02872282968c9d375fa8ce9c802292cbc153"
+        )
+
+
+class TestGenerationLoop:
+    def test_hooks_are_called_through_the_harness_module(
+        self, small_dataset, monkeypatch
+    ):
+        # Tracing wraps these three module globals of tribefs.harness, so
+        # the generation loop must reach the operators through them.
+        import tribefs.harness as harness
+
+        calls = {"init": 0, "evolve": 0, "contest_after_evolves": []}
+        init, evolve, contest = (
+            harness.init_population,
+            harness.evolve_generation,
+            harness.apply_competition,
+        )
+
+        def counting_init(*args):
+            calls["init"] += 1
+            return init(*args)
+
+        def counting_evolve(*args):
+            calls["evolve"] += 1
+            return evolve(*args)
+
+        def counting_contest(*args):
+            calls["contest_after_evolves"].append(calls["evolve"])
+            return contest(*args)
+
+        monkeypatch.setattr(harness, "init_population", counting_init)
+        monkeypatch.setattr(harness, "evolve_generation", counting_evolve)
+        monkeypatch.setattr(harness, "apply_competition", counting_contest)
+        config = tiny_config(runs=2, max_generations=6, competition_interval=2)
+        t.run_experiment(config, small_dataset)
+
+        per_run = 3 * 6
+        assert calls["init"] == 2
+        assert calls["evolve"] == 2 * per_run
+        assert calls["contest_after_evolves"] == [
+            run * per_run + 3 * generation
+            for run in range(2)
+            for generation in (2, 4, 6)
+        ]
+
+    def test_generator_yields_every_generation(self, small_dataset):
+        config = tiny_config(max_generations=5, competition_interval=2)
+        plan = config.plan(small_dataset.n_features)
+        evaluate = t.make_evaluator(
+            small_dataset, config.protocol(), t.FitnessCache()
+        )
+        seen = []
+        for generation, population, record in t.generations(
+            plan, config, evaluate, np.random.SeedSequence(config.seed)
+        ):
+            assert population.size == 300
+            assert all(
+                ind.fitness is not None
+                for tribe in population.tribes
+                for ind in tribe.individuals
+            )
+            seen.append((generation, record is not None))
+        assert [g for g, _ in seen] == [0, 1, 2, 3, 4, 5]
+        assert not any(contested for g, contested in seen if g % 2)
+
+    def test_generator_matches_run_experiment(self, small_dataset):
+        # Run r of a report is the generator fed run r's spawned seed.
+        config = tiny_config(runs=2, max_generations=4)
+        report = t.run_experiment(config, small_dataset)
+        plan = config.plan(small_dataset.n_features)
+        evaluate = t.make_evaluator(
+            small_dataset, config.protocol(), t.FitnessCache()
+        )
+        run_seed = np.random.SeedSequence(config.seed).spawn(2)[1]
+        *_, (_, population, _) = t.generations(plan, config, evaluate, run_seed)
+        tribe_best = tuple(
+            float(t.best_individual(tribe).fitness) for tribe in population.tribes
+        )
+        assert report.results[1].history[-1].tribe_best == tribe_best
