@@ -36,8 +36,15 @@ def main(argv=None):
     )
     try:
         dataset = t.resolve_dataset(config)
-    except (FileNotFoundError, t.DataError) as err:
+        plan = config.plan(dataset.n_features)
+    except (FileNotFoundError, t.DataError, t.ConfigError) as err:
         print(err, file=sys.stderr)
+        return 1
+    # The engine would refuse an infeasible layout only after the exhaustive
+    # search has run, so check it first.
+    diagnostics = t.validate_plan(plan)
+    if diagnostics:
+        print(f"infeasible tribe layout: {'; '.join(diagnostics)}", file=sys.stderr)
         return 1
     protocol = config.protocol()
     cache = t.FitnessCache()
@@ -51,7 +58,6 @@ def main(argv=None):
           f"({oracle.evaluations} subsets, {oracle_time:.1f}s)")
 
     evaluate = t.make_evaluator(dataset, protocol, cache)
-    plan = config.plan(dataset.n_features)
     seed = np.random.SeedSequence(config.seed)
     for generation, population, _ in t.generations(plan, config, evaluate, seed):
         # Elitism keeps every tribe's best, so this never decreases.

@@ -5,9 +5,13 @@ classifier trained on just its selected columns, under a stratified k-fold
 plan that is fixed once per run. Features are standardized per fold from
 training statistics only. The linear SVM's pair machines minimize the
 squared-hinge primal exactly with a finite Newton method, and all folds'
-pair machines of one mask are solved together in one batch. Everything is
-deterministic given the dataset, the mask, and the protocol, which is what
-makes the subset-keyed fitness cache sound.
+pair machines of one mask are solved together in one batch. Everything
+about the folds that does not depend on the mask (their rows, per-column
+statistics and pair layout) is prepared once by :func:`make_evaluator`, so
+scoring a mask is one gather of its columns, one batched solve and one
+vectorized vote per fold. Everything is deterministic given the dataset,
+the mask, and the protocol, which is what makes the subset-keyed fitness
+cache sound.
 """
 
 from __future__ import annotations
@@ -110,13 +114,11 @@ class LinearSVM:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        votes = np.zeros((X.shape[0], self.classes.size), dtype=np.int64)
         decisions = X @ self.weights.T + self.biases
-        for p, (a, b) in enumerate(self.pairs):
-            column = decisions[:, p]
-            votes[column >= 0.0, a] += 1  # a < b, so boundary ties go low
-            votes[column < 0.0, b] += 1
-        return self.classes[np.argmax(votes, axis=1)]
+        low, high = np.array(self.pairs).T
+        winners = np.where(decisions >= 0.0, low, high)  # low < high: boundary goes low
+        votes = (winners[:, :, None] == np.arange(self.classes.size)).sum(axis=1)
+        return self.classes[np.argmax(votes, axis=1)]  # vote ties go low too
 
 
 _MAX_ITER = 1000
@@ -223,40 +225,73 @@ def _solve_squared_hinge(
     return solutions, converged
 
 
-def _fit_linear_svms(
-    problems: list[tuple[np.ndarray, np.ndarray]], C: float, max_iter: int
-) -> list[LinearSVM]:
-    """Train a one-vs-one LinearSVM on each (X, y), all pair machines in one solve.
+@dataclass(frozen=True, eq=False)
+class _PairLayout:
+    """Where the rows of every pair machine of some training sets come from.
 
-    Every X must have the same number of columns. The pair machines of all
-    problems are stacked, zero-padded to the largest pair, into a single
-    batch for ``_solve_squared_hinge``; each model takes its slice back.
+    It depends on the labels alone. Machine p takes the rows ``rows[p]`` of
+    the training sets' concatenation, in order, zero-padded to the longest
+    machine: ``signs`` is +1 for the pair's first class, -1 for its second
+    and 0 on padding, ``bias`` is 1 on real rows and 0 on padding. ``models``
+    holds each training set's (classes, pairs), in the order of its machines.
     """
-    layout = []
-    pair_rows = []  # (X, y, rows of the pair, the pair's +1 class)
-    for X, y in problems:
+
+    rows: np.ndarray  # (B, n) int
+    signs: np.ndarray  # (B, n)
+    bias: np.ndarray  # (B, n)
+    models: tuple[tuple[np.ndarray, tuple[tuple[int, int], ...]], ...]
+
+
+def _pair_layout(labels: list[np.ndarray]) -> _PairLayout:
+    machines = []  # (rows in the concatenation, signed labels)
+    models = []
+    offset = 0
+    for y in labels:
         classes = np.unique(y)
         if classes.size < 2:
             raise ValueError("training data must contain at least two classes")
         pairs = tuple(itertools.combinations(range(classes.size), 2))
         for a, b in pairs:
-            chosen = (y == classes[a]) | (y == classes[b])
-            pair_rows.append((X, y, chosen, classes[a]))
-        layout.append((classes, pairs))
+            chosen = np.flatnonzero((y == classes[a]) | (y == classes[b]))
+            signs = np.where(y[chosen] == classes[a], 1.0, -1.0)
+            machines.append((offset + chosen, signs))
+        models.append((classes, pairs))
+        offset += y.size
+    shape = (len(machines), max(rows.size for rows, _ in machines))
+    layout = _PairLayout(
+        rows=np.zeros(shape, dtype=np.intp),
+        signs=np.zeros(shape),
+        bias=np.zeros(shape),
+        models=tuple(models),
+    )
+    for p, (rows, signs) in enumerate(machines):
+        layout.rows[p, : rows.size] = rows
+        layout.signs[p, : rows.size] = signs
+        layout.bias[p, : rows.size] = 1.0
+    return layout
 
-    n_rows = max(int(chosen.sum()) for _, _, chosen, _ in pair_rows)
-    Z = np.zeros((len(pair_rows), n_rows, problems[0][0].shape[1] + 1))
-    y_signed = np.zeros((len(pair_rows), n_rows))
-    for p, (X, y, chosen, positive) in enumerate(pair_rows):
-        n = int(chosen.sum())
-        Z[p, :n, :-1] = X[chosen]
-        Z[p, :n, -1] = 1.0
-        y_signed[p, :n] = np.where(y[chosen] == positive, 1.0, -1.0)
-    solutions, converged = _solve_squared_hinge(Z, y_signed, C, max_iter)
 
+def _pair_stack(rows: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """The solver's (B, n, d + 1) stack from each machine's (B, n, d) rows.
+
+    Appends the bias column and zeroes the padding rows, whatever was
+    gathered for them.
+    """
+    Z = np.empty(rows.shape[:-1] + (rows.shape[-1] + 1,))
+    Z[..., :-1] = rows
+    Z[..., -1] = bias
+    Z[bias == 0.0] = 0.0
+    return Z
+
+
+def _solve_pairs(
+    Z: np.ndarray, layout: _PairLayout, C: float, max_iter: int
+) -> list[LinearSVM]:
+    """Solve a layout's pair stack in one batch; one LinearSVM per training set."""
+    solutions, converged = _solve_squared_hinge(Z, layout.signs, C, max_iter)
     models = []
     start = 0
-    for classes, pairs in layout:
+    for classes, pairs in layout.models:
         stop = start + len(pairs)
         models.append(
             LinearSVM(
@@ -269,6 +304,20 @@ def _fit_linear_svms(
         )
         start = stop
     return models
+
+
+def _fit_linear_svms(
+    problems: list[tuple[np.ndarray, np.ndarray]], C: float, max_iter: int
+) -> list[LinearSVM]:
+    """Train a one-vs-one LinearSVM on each (X, y), all pair machines in one solve.
+
+    Every X must have the same number of columns. The pair machines of all
+    problems are stacked, zero-padded to the largest pair, into a single
+    batch for ``_solve_squared_hinge``; each model takes its slice back.
+    """
+    layout = _pair_layout([y for _, y in problems])
+    X = np.concatenate([X for X, _ in problems])
+    return _solve_pairs(_pair_stack(X[layout.rows], layout.bias), layout, C, max_iter)
 
 
 def train_linear_svm(
@@ -312,20 +361,15 @@ class _NearestNeighbor:
         return self.y[np.argmin(d2, axis=1)]
 
 
-def _fit_all(
-    protocol: FitnessProtocol, problems: list[tuple[np.ndarray, np.ndarray]]
-) -> list:
-    if protocol.classifier == "linear-svm":
-        return _fit_linear_svms(problems, protocol.regularization, _MAX_ITER)
-    if protocol.classifier == "nearest-centroid":
-        return [_NearestCentroid(X, y) for X, y in problems]
-    return [_NearestNeighbor(X, y) for X, y in problems]
-
-
-def _standardize(train: np.ndarray, test: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _column_stats(train: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     center = train.mean(axis=0)
     scale = train.std(axis=0)
     scale[scale == 0.0] = 1.0  # constant columns pass through centered
+    return center, scale
+
+
+def _standardize(train: np.ndarray, test: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    center, scale = _column_stats(train)
     return (train - center) / scale, (test - center) / scale
 
 
@@ -359,6 +403,102 @@ def resolve_mask(mask, n_features: int) -> np.ndarray:
     return mask
 
 
+def _stacked(blocks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Concatenated per-fold row indices, each row's fold, and the fold cuts."""
+    sizes = [block.size for block in blocks]
+    folds = np.repeat(np.arange(len(blocks)), sizes)
+    return np.concatenate(blocks), folds, np.cumsum(sizes)[:-1]
+
+
+class _PreparedFolds:
+    """Everything about a fold plan that does not depend on the mask.
+
+    It keeps each fold's training rows (after ``subsample``) and test rows,
+    the training mean and spread of every column per fold and, for the
+    linear SVM, the pair layout of all folds' machines mapped to dataset
+    rows: indices and statistics, never a copy of the data. Scoring a mask
+    gathers its columns by these indices, standardizes them with the mask's
+    slice of the statistics and fits all folds at once. Standardization is
+    per column and elementwise, so every mask scores exactly as it would
+    with its folds standardized from scratch.
+    """
+
+    def __init__(
+        self, dataset: Dataset, protocol: FitnessProtocol, fold_plan: FoldPlan
+    ):
+        self.protocol = protocol
+        self.instances = dataset.instances
+        labels = dataset.labels
+        train = [fold_plan.train_indices(fold) for fold in range(fold_plan.k)]
+        if protocol.subsample is not None:
+            train = [
+                _subsample_rows(rows, labels, protocol.subsample, fold_plan.seed, fold)
+                for fold, rows in enumerate(train)
+            ]
+        test = [fold_plan.test_indices(fold) for fold in range(fold_plan.k)]
+        stats = [_column_stats(self.instances[rows]) for rows in train]
+        self.center = np.stack([center for center, _ in stats])
+        self.scale = np.stack([scale for _, scale in stats])
+        self.train_rows, self.train_folds, self.train_cuts = _stacked(train)
+        self.test_rows, self.test_folds, self.test_cuts = _stacked(test)
+        self.train_labels = np.split(labels[self.train_rows], self.train_cuts)
+        self.test_labels = np.split(labels[self.test_rows], self.test_cuts)
+        if protocol.classifier == "linear-svm":
+            self.pairs = _pair_layout(self.train_labels)
+            self.pair_rows = self.train_rows[self.pairs.rows]
+            machines = [len(pairs) for _, pairs in self.pairs.models]
+            self.pair_folds = np.repeat(np.arange(fold_plan.k), machines)[:, None]
+
+    def _stats(
+        self, X: np.ndarray, columns: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        if columns.size > 1:
+            return self.center[:, columns], self.scale[:, columns]
+        # NumPy sums a lone column pairwise but the columns of a wider block
+        # row by row, so a single column's statistics come from that column
+        # alone, as they do when a fold is standardized from scratch.
+        blocks = np.split(np.take(X, self.train_rows, axis=0), self.train_cuts)
+        stats = [_column_stats(block) for block in blocks]
+        return np.stack([c for c, _ in stats]), np.stack([s for _, s in stats])
+
+    def accuracy(self, mask: np.ndarray) -> float:
+        """Mean per-fold accuracy (percent) of a validated mask."""
+        columns = np.flatnonzero(mask)
+        X = self.instances[:, columns]
+        center, scale = self._stats(X, columns)
+
+        def standardized(rows, folds):
+            block = np.take(X, rows, axis=0)
+            block -= center[folds]
+            block /= scale[folds]
+            return block
+
+        protocol = self.protocol
+        if protocol.classifier == "linear-svm":
+            # Unnamed, the gathered rows are freed before the solve starts.
+            Z = _pair_stack(
+                standardized(self.pair_rows, self.pair_folds), self.pairs.bias
+            )
+            models = _solve_pairs(Z, self.pairs, protocol.regularization, _MAX_ITER)
+        else:
+            model_type = (
+                _NearestCentroid
+                if protocol.classifier == "nearest-centroid"
+                else _NearestNeighbor
+            )
+            train = standardized(self.train_rows, self.train_folds)
+            models = [
+                model_type(block, y)
+                for block, y in zip(np.split(train, self.train_cuts), self.train_labels)
+            ]
+        test = np.split(standardized(self.test_rows, self.test_folds), self.test_cuts)
+        percents = [
+            100.0 * float(np.mean(model.predict(block) == y))
+            for model, block, y in zip(models, test, self.test_labels)
+        ]
+        return float(np.mean(percents))
+
+
 def kfold_accuracy(
     dataset: Dataset,
     mask,
@@ -368,32 +508,14 @@ def kfold_accuracy(
     """Mean cross-validated accuracy (percent) of the masked feature set.
 
     The fold plan derives from ``protocol.folds`` and ``protocol.fold_seed``
-    unless one is passed in; callers evaluating many masks should build the
-    plan once and share it.
+    unless one is passed in. The folds are prepared for this one mask; to
+    score many, build the fitness function once with :func:`make_evaluator`,
+    which prepares them once and gives every mask the same value.
     """
     mask = resolve_mask(mask, dataset.n_features)
     if fold_plan is None:
         fold_plan = stratified_folds(dataset, protocol.folds, protocol.fold_seed)
-    columns = np.flatnonzero(mask)
-    X = dataset.instances[:, columns]
-    y = dataset.labels
-    training, testing = [], []
-    for fold in range(fold_plan.k):
-        train_idx = fold_plan.train_indices(fold)
-        test_idx = fold_plan.test_indices(fold)
-        if protocol.subsample is not None:
-            train_idx = _subsample_rows(
-                train_idx, y, protocol.subsample, fold_plan.seed, fold
-            )
-        X_train, X_test = _standardize(X[train_idx], X[test_idx])
-        training.append((X_train, y[train_idx]))
-        testing.append((X_test, y[test_idx]))
-    models = _fit_all(protocol, training)
-    percents = [
-        100.0 * float(np.mean(model.predict(X_test) == y_test))
-        for model, (X_test, y_test) in zip(models, testing)
-    ]
-    return float(np.mean(percents))
+    return _PreparedFolds(dataset, protocol, fold_plan).accuracy(mask)
 
 
 def make_evaluator(
@@ -403,21 +525,24 @@ def make_evaluator(
 ):
     """Build the fitness function the engine calls on individuals.
 
-    The stratified fold plan is constructed once here and shared by every
+    The stratified fold plan and everything about the folds that does not
+    depend on the mask (rows, per-column training statistics, the pair
+    machines' layout) are prepared once here and shared by every
     evaluation, and results are memoized in ``cache`` when one is given.
     Evaluation errors propagate and leave no cache entry behind.
     """
     fold_plan = stratified_folds(dataset, protocol.folds, protocol.fold_seed)
+    folds = _PreparedFolds(dataset, protocol, fold_plan)
 
     def evaluate(individual) -> float:
         mask = resolve_mask(individual, dataset.n_features)
         if cache is None:
-            return kfold_accuracy(dataset, mask, protocol, fold_plan)
+            return folds.accuracy(mask)
         key = mask.tobytes()
         hit = cache.get(key)
         if hit is not None:
             return hit
-        value = kfold_accuracy(dataset, mask, protocol, fold_plan)
+        value = folds.accuracy(mask)
         cache.put(key, value)
         return value
 

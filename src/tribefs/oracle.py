@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Individual, rank_key
-from .data import Dataset, stratified_folds
-from .fitness import FitnessCache, FitnessProtocol, kfold_accuracy
+from .data import Dataset
+from .fitness import FitnessCache, FitnessProtocol, make_evaluator
 
 __all__ = ["OracleResult", "exhaustive_best_subset"]
 
@@ -50,14 +50,13 @@ def exhaustive_best_subset(
             f"exhaustive search over {n} features means 2^{n}-1 evaluations; "
             f"pass max_features={n} to insist"
         )
-    fold_plan = stratified_folds(dataset, protocol.folds, protocol.fold_seed)
+    evaluate = make_evaluator(dataset, protocol)  # the folds are prepared once
     start = time.perf_counter()
 
     def scored():
         for code in range(1, 1 << n):
             mask = np.array([(code >> i) & 1 for i in range(n)], dtype=np.uint8)
-            accuracy = kfold_accuracy(dataset, mask, protocol, fold_plan)
-            subset = Individual(mask, accuracy)
+            subset = Individual(mask, evaluate(mask))
             if cache is not None:
                 cache.put(subset.key(), subset.fitness)
             yield subset

@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import tribefs as t
 from tribefs import fitness
 
 from conftest import make_blobs
+from fitness_reference import loop_predict, reference_kfold_accuracy
 from svm_reference import margin_objective, pair_problems, reference_linear_svm
 
 
@@ -119,6 +121,50 @@ class TestLinearSVM:
         predictions = model.predict(np.array([[5.0, -2.0], [0.0, 0.0]]))
         assert list(predictions) == [3, 3]
 
+    @pytest.mark.parametrize(
+        "decisions, expected",
+        [
+            ([1.0, -1.0, 1.0], 0),  # 0 beats 1, 2 beats 0, 1 beats 2: a 1-1-1 tie
+            ([-1.0, 1.0, -1.0], 0),  # 1 beats 0, 0 beats 2, 2 beats 1: a 1-1-1 tie
+            ([-1.0, -1.0, 1.0], 1),  # 1 and 2 beat 0, 1 beats 2
+            ([0.0, 0.0, 0.0], 0),  # on every boundary: each pair's lower class
+            ([-1.0, -1.0, 0.0], 1),  # 1 and 2 tie on their own boundary
+            ([-1.0, -1.0, -1.0], 2),
+        ],
+    )
+    def test_vote_ties_and_boundaries_go_low(self, decisions, expected):
+        # With zero weights a row's decisions are the biases; pairs are
+        # (0, 1), (0, 2), (1, 2) and a positive decision votes for the first.
+        model = t.LinearSVM(
+            classes=np.array([4, 6, 9]),
+            pairs=((0, 1), (0, 2), (1, 2)),
+            weights=np.zeros((3, 2)),
+            biases=np.array(decisions),
+            converged=True,
+        )
+        X = np.ones((2, 2))
+        assert list(model.predict(X)) == [model.classes[expected]] * 2
+        assert np.array_equal(model.predict(X), loop_predict(model, X))
+
+    @pytest.mark.parametrize("n_classes", [2, 3, 4, 5])
+    def test_vote_matches_pair_loop(self, n_classes):
+        # Small integer weights and inputs put many decisions exactly on a
+        # boundary and many votes in ties.
+        rng = np.random.default_rng(n_classes)
+        pairs = tuple(
+            (a, b) for a in range(n_classes) for b in range(a + 1, n_classes)
+        )
+        for _ in range(50):
+            model = t.LinearSVM(
+                classes=np.arange(n_classes) * 3 + 1,
+                pairs=pairs,
+                weights=rng.integers(-1, 2, size=(len(pairs), 3)).astype(float),
+                biases=rng.integers(-1, 2, size=len(pairs)).astype(float),
+                converged=True,
+            )
+            X = rng.integers(-2, 3, size=(40, 3)).astype(float)
+            assert np.array_equal(model.predict(X), loop_predict(model, X))
+
     def test_single_class_raises(self):
         with pytest.raises(ValueError, match="two classes"):
             t.train_linear_svm(np.zeros((4, 2)), np.zeros(4))
@@ -207,6 +253,85 @@ class TestSolverParity:
             assert t.kfold_accuracy(dataset, mask, protocol, plan) == float(
                 np.mean(percents)
             )
+
+
+class TestPreparedFoldsParity:
+    """Prepared folds against every mask's folds standardized from scratch."""
+
+    @pytest.mark.parametrize("classifier", fitness.CLASSIFIER_KINDS)
+    def test_scores_equal_the_reference(self, classifier):
+        n_features = 9
+        scored = 0
+        for n_classes in (2, 3, 4):
+            dataset = make_blobs(
+                n_per_class=20, n_features=n_features, informative=(0, 1, 2),
+                separation=1.0, seed=30 + n_classes, n_classes=n_classes,
+            )
+            for folds in (5, 10):
+                for subsample in (None, 0.6):
+                    protocol = t.FitnessProtocol(
+                        classifier=classifier, folds=folds, subsample=subsample
+                    )
+                    evaluate = t.make_evaluator(dataset, protocol)
+                    rng = np.random.default_rng([n_classes, folds, scored])
+                    for i in range(9):
+                        # One singleton per protocol: NumPy reduces a lone
+                        # column differently from a wider block.
+                        density = 0.0 if i == 0 else rng.uniform(0.1, 0.9)
+                        mask = (rng.random(n_features) < density).astype(np.uint8)
+                        mask[rng.integers(n_features)] = 1
+                        expected = reference_kfold_accuracy(dataset, mask, protocol)
+                        assert evaluate(mask) == expected
+                        assert t.kfold_accuracy(dataset, mask, protocol) == expected
+                        scored += 1
+        assert scored == 108
+
+    def test_statistics_equal_each_folds_own(self):
+        # NumPy reduces a lone column pairwise and a wider block row by row,
+        # which differ in the last bits; either way the prepared statistics
+        # must be exactly those of the fold's own training block.
+        dataset = make_blobs(n_per_class=60, n_features=6, seed=9)
+        plan = t.stratified_folds(dataset, 5, 0)
+        folds = fitness._PreparedFolds(dataset, t.FitnessProtocol(folds=5), plan)
+        for columns in ([0], [3], [5], [0, 1], [1, 2, 4], list(range(6))):
+            columns = np.array(columns)
+            X = dataset.instances[:, columns]
+            center, scale = folds._stats(X, columns)
+            for fold in range(plan.k):
+                own = fitness._column_stats(X[plan.train_indices(fold)])
+                assert np.array_equal(center[fold], own[0])
+                assert np.array_equal(scale[fold], own[1])
+
+    @pytest.mark.parametrize("n_selected", [60, 30])
+    def test_peak_memory_within_reference(self, n_selected):
+        # Sonar-sized two-class data: the prepared path keeps indices and
+        # statistics, so one evaluation allocates less than scoring the mask
+        # from scratch, which holds every fold's standardized copy.
+        dataset = make_blobs(
+            n_per_class=104, n_features=60, informative=tuple(range(12)),
+            separation=0.7, seed=0,
+        )
+        protocol = t.FitnessProtocol(folds=5)
+        evaluate = t.make_evaluator(dataset, protocol)
+        plan = t.stratified_folds(dataset, 5, 0)
+        mask = np.zeros(60, dtype=np.uint8)
+        mask[:n_selected] = 1
+
+        def peak(score):
+            score()  # warm: the first call may allocate once-only state
+            tracemalloc.start()
+            try:
+                value = score()
+                return tracemalloc.get_traced_memory()[1], value
+            finally:
+                tracemalloc.stop()
+
+        ours, value = peak(lambda: evaluate(mask))
+        theirs, expected = peak(
+            lambda: reference_kfold_accuracy(dataset, mask, protocol, plan)
+        )
+        assert value == expected
+        assert ours <= theirs
 
 
 class TestKfoldAccuracy:
