@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -19,7 +20,7 @@ import numpy as np
 
 from .core import mask_to_string
 from .data import DataError, fetch_dataset, load_descriptors
-from .fitness import CLASSIFIER_KINDS, FitnessProtocol
+from .fitness import CLASSIFIER_KINDS
 from .harness import (
     SWEEPABLE,
     ConfigError,
@@ -130,34 +131,33 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _add_experiment_arguments(parser: argparse.ArgumentParser) -> None:
+    # Every RunConfig field has a flag whose dest is the field's name.
     parser.add_argument("--dataset", help="descriptor name or CSV path")
-    parser.add_argument("--data-dir", dest="data_dir")
+    parser.add_argument("--data-dir")
     parser.add_argument("--config", help="JSON config file; flags override its keys")
-    parser.add_argument("--tribe-size", dest="tribe_size", type=int)
-    parser.add_argument("--n-tribes", dest="n_tribes", type=int)
+    parser.add_argument("--tribe-size", type=int)
+    parser.add_argument("--n-tribes", type=int)
     parser.add_argument("--means", help="comma-separated tribe means, e.g. 2,5,8")
     parser.add_argument("--sigma", type=float)
     parser.add_argument(
         "--allow-infeasible",
-        dest="allow_infeasible",
         action="store_const",
         const=True,
         help="run even when the plan fails validation",
     )
     parser.add_argument("--classifier", choices=CLASSIFIER_KINDS)
     parser.add_argument("--folds", type=int)
-    parser.add_argument("--fold-seed", dest="fold_seed", type=int)
+    parser.add_argument("--fold-seed", type=int)
     parser.add_argument("--regularization", type=float)
     parser.add_argument("--subsample", type=float)
-    parser.add_argument("--crossover-rate", dest="crossover_rate", type=float)
-    parser.add_argument("--mutation-rate", dest="mutation_rate", type=float)
-    parser.add_argument("--selection-pressure", dest="selection_pressure", type=float)
+    parser.add_argument("--crossover-rate", type=float)
+    parser.add_argument("--mutation-rate", type=float)
+    parser.add_argument("--selection-pressure", type=float)
+    parser.add_argument("--competition-interval", type=int)
     parser.add_argument(
-        "--competition-interval", dest="competition_interval", type=int
+        "--stake", type=int, help="individuals a contest moves from loser to winner"
     )
-    parser.add_argument("--award", type=int)
-    parser.add_argument("--penalty", type=int)
-    parser.add_argument("--min-tribe-size", dest="min_tribe_size", type=int)
+    parser.add_argument("--min-tribe-size", type=int)
     parser.add_argument(
         "--max-generations", "--generations", dest="max_generations", type=int
     )
@@ -167,21 +167,17 @@ def _add_experiment_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
+    """The ``--config`` file's RunConfig, if any, overridden by the flags given."""
     merged: dict = {}
-    if args.config:
+    if getattr(args, "config", None):
         merged.update(json.loads(Path(args.config).read_text()))
-    for name in (
-        "dataset", "data_dir", "tribe_size", "n_tribes", "sigma",
-        "allow_infeasible", "classifier", "folds", "fold_seed", "regularization",
-        "subsample", "crossover_rate", "mutation_rate", "selection_pressure",
-        "competition_interval", "award", "penalty", "min_tribe_size",
-        "max_generations", "patience", "seed", "runs",
-    ):
-        value = getattr(args, name, None)
-        if value is not None:
-            merged[name] = value
-    if getattr(args, "means", None) is not None:
-        merged["means"] = _parse_int_list(args.means, "--means")
+    for field in dataclasses.fields(RunConfig):
+        value = getattr(args, field.name, None)
+        if value is None:
+            continue
+        if field.name == "means":
+            value = _parse_int_list(value, "--means")
+        merged[field.name] = value
     return RunConfig.from_dict(merged)
 
 
@@ -246,19 +242,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    protocol_kwargs = {}
-    if args.classifier is not None:
-        protocol_kwargs["classifier"] = args.classifier
-    if args.folds is not None:
-        protocol_kwargs["folds"] = args.folds
-    if args.fold_seed is not None:
-        protocol_kwargs["fold_seed"] = args.fold_seed
-    if args.regularization is not None:
-        protocol_kwargs["regularization"] = args.regularization
-    protocol = FitnessProtocol(**protocol_kwargs)
-    config = RunConfig(dataset=args.dataset, data_dir=args.data_dir)
+    config = _config_from_args(args)
     dataset = resolve_dataset(config)
-    result = exhaustive_best_subset(dataset, protocol, max_features=args.max_features)
+    result = exhaustive_best_subset(
+        dataset, config.protocol(), max_features=args.max_features
+    )
     mask_text = mask_to_string(result.best_mask)
     print(
         f"{dataset.name}: best {result.best_accuracy:.4f}% with "

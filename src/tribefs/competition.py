@@ -1,12 +1,12 @@
 """Inter-tribe competition.
 
 Every few generations the tribes are ranked by their best individual's
-fitness; the top tribe is awarded individuals and the weakest tribe that can
-still afford the loss pays the same number, so the population total is
-conserved. Resizing reshapes a tribe's cardinality histogram with the same
-allocation rule used at initialization, removing the weakest members of
-over-full bins and sampling fresh individuals into under-full ones. A
-tribe's best individual always survives its own tribe's shrinkage.
+fitness; the top tribe gains ``stake`` individuals and the weakest tribe that
+can still afford the loss gives up the same ``stake``, so the population
+total is conserved. Resizing reshapes a tribe's cardinality histogram with
+the same allocation rule used at initialization, removing the weakest
+members of over-full bins and sampling fresh individuals into under-full
+ones. A tribe's best individual always survives its own tribe's shrinkage.
 """
 
 from __future__ import annotations
@@ -38,20 +38,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CompetitionConfig:
-    """Timing and stakes of the inter-tribe contest."""
+    """Timing and stake of the inter-tribe contest; a stake of 0 disables it."""
 
     interval: int = 2
-    award: int = 1
-    penalty: int = 1
+    stake: int = 1
     min_tribe_size: int = 2
 
     def __post_init__(self):
         if self.interval < 1:
             raise ValueError("interval must be at least 1 generation")
-        if self.award < 0 or self.penalty < 0:
-            raise ValueError("award and penalty must be non-negative")
-        if self.award != self.penalty:
-            raise ValueError("award must equal penalty so the population is conserved")
+        if self.stake < 0:
+            raise ValueError("stake must be non-negative")
         if self.min_tribe_size < 1:
             raise ValueError("min_tribe_size must be positive")
 
@@ -174,12 +171,12 @@ def apply_competition(
 ) -> tuple[Population, CompetitionRecord | None]:
     """Run one contest; return the new population and its record.
 
-    The strongest tribe gains ``award`` members and the weakest tribe that
-    would not fall below ``min_tribe_size`` loses the same number. When the
-    stakes are zero, or no tribe can afford the penalty, the population is
+    The strongest tribe gains ``stake`` members and the weakest tribe that
+    would not fall below ``min_tribe_size`` gives up the same number. When
+    the stake is zero, or no tribe can afford it, the population is
     returned unchanged with no record.
     """
-    if config.award == 0:
+    if config.stake == 0:
         return population, None
     order = rank_tribes(population)
     winner = order[0]
@@ -187,17 +184,17 @@ def apply_competition(
     for idx in reversed(order):
         if idx == winner:
             continue
-        if population.tribes[idx].size - config.penalty >= config.min_tribe_size:
+        if population.tribes[idx].size - config.stake >= config.min_tribe_size:
             loser = idx
             break
     if loser is None:
         return population, None
     tribes = list(population.tribes)
     tribes[winner] = _resize_tribe(
-        tribes[winner], tribes[winner].size + config.award, fitness_fn, rng
+        tribes[winner], tribes[winner].size + config.stake, fitness_fn, rng
     )
     tribes[loser] = _resize_tribe(
-        tribes[loser], tribes[loser].size - config.penalty, fitness_fn, rng
+        tribes[loser], tribes[loser].size - config.stake, fitness_fn, rng
     )
     resized = Population(tribes=tribes)
     record = CompetitionRecord(

@@ -15,7 +15,6 @@ from collections import defaultdict, deque
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .core import Individual, Tribe, best_index, count_selected
 
@@ -65,7 +64,10 @@ def selection_probabilities(fitnesses: np.ndarray, pressure: float) -> np.ndarra
         raise ValueError("cannot rank an empty tribe")
     if n == 1:
         return np.ones(1)
-    ranks = rankdata(fitnesses, method="average")
+    # A value with L smaller and R no larger entries shares ranks L + 1 .. R.
+    ordered = np.sort(fitnesses)
+    lower = np.searchsorted(ordered, fitnesses, "left")
+    ranks = (lower + np.searchsorted(ordered, fitnesses, "right") + 1) / 2.0
     probs = (2.0 - pressure + 2.0 * (pressure - 1.0) * (ranks - 1.0) / (n - 1.0)) / n
     return probs
 
@@ -78,22 +80,14 @@ def rank_selection(
     The tribe's best individual is guaranteed to appear at least once: when
     the draw misses it, it replaces one uniformly chosen slot.
     """
-    fitnesses = np.array(
-        [_require_fitness(ind, idx) for idx, ind in enumerate(tribe.individuals)]
-    )
+    elite = best_index(tribe)  # raises on an unevaluated tribe
+    fitnesses = np.array([ind.fitness for ind in tribe.individuals])
     probs = selection_probabilities(fitnesses, config.selection_pressure)
     n = tribe.size
     drawn = rng.choice(n, size=n, p=probs)
-    elite = best_index(tribe)
     if elite not in drawn:
         drawn[int(rng.integers(n))] = elite
     return [tribe.individuals[i] for i in drawn]
-
-
-def _require_fitness(ind: Individual, idx: int) -> float:
-    if ind.fitness is None:
-        raise ValueError(f"individual {idx} has no fitness; evaluate the tribe first")
-    return ind.fitness
 
 
 def count_preserving_crossover(

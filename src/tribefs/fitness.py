@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import threading
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -480,6 +481,12 @@ class _PreparedFolds:
                 standardized(self.pair_rows, self.pair_folds), self.pairs.bias
             )
             models = _solve_pairs(Z, self.pairs, protocol.regularization, _MAX_ITER)
+            if not all(model.converged for model in models):
+                # One constant message: the default filter shows it once per process.
+                warnings.warn(
+                    "linear-SVM solver stopped before converging; fitness is inexact",
+                    RuntimeWarning,
+                )
         else:
             model_type = (
                 _NearestCentroid

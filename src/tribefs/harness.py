@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from .competition import CompetitionConfig, CompetitionRecord, apply_competition
 from .core import Individual, Population, best_individual, mask_to_string, rank_key
@@ -79,8 +78,7 @@ class RunConfig:
     mutation_rate: float = 0.1
     selection_pressure: float = 1.8
     competition_interval: int = 2
-    award: int = 1
-    penalty: int = 1
+    stake: int = 1
     min_tribe_size: int = 2
     max_generations: int = 100
     patience: int = 30
@@ -102,50 +100,41 @@ class RunConfig:
         self.protocol()
 
     def evolution(self) -> EvolutionConfig:
-        try:
-            return EvolutionConfig(
-                crossover_rate=self.crossover_rate,
-                mutation_rate=self.mutation_rate,
-                selection_pressure=self.selection_pressure,
-            )
-        except ValueError as err:
-            raise ConfigError(str(err)) from err
+        return _checked(
+            EvolutionConfig,
+            crossover_rate=self.crossover_rate,
+            mutation_rate=self.mutation_rate,
+            selection_pressure=self.selection_pressure,
+        )
 
     def competition(self) -> CompetitionConfig:
-        try:
-            return CompetitionConfig(
-                interval=self.competition_interval,
-                award=self.award,
-                penalty=self.penalty,
-                min_tribe_size=self.min_tribe_size,
-            )
-        except ValueError as err:
-            raise ConfigError(str(err)) from err
+        return _checked(
+            CompetitionConfig,
+            interval=self.competition_interval,
+            stake=self.stake,
+            min_tribe_size=self.min_tribe_size,
+        )
 
     def protocol(self) -> FitnessProtocol:
-        try:
-            return FitnessProtocol(
-                classifier=self.classifier,
-                folds=self.folds,
-                fold_seed=self.fold_seed,
-                regularization=self.regularization,
-                subsample=self.subsample,
-            )
-        except ValueError as err:
-            raise ConfigError(str(err)) from err
+        return _checked(
+            FitnessProtocol,
+            classifier=self.classifier,
+            folds=self.folds,
+            fold_seed=self.fold_seed,
+            regularization=self.regularization,
+            subsample=self.subsample,
+        )
 
     def plan(self, n_features: int) -> TribePlan:
-        try:
-            return TribePlan.derive(
-                n_features,
-                tribe_size=self.tribe_size,
-                n_tribes=self.n_tribes,
-                means=self.means,
-                sigma=self.sigma,
-                allow_infeasible=self.allow_infeasible,
-            )
-        except ValueError as err:
-            raise ConfigError(str(err)) from err
+        return _checked(
+            TribePlan.derive,
+            n_features,
+            tribe_size=self.tribe_size,
+            n_tribes=self.n_tribes,
+            means=self.means,
+            sigma=self.sigma,
+            allow_infeasible=self.allow_infeasible,
+        )
 
     def to_dict(self) -> dict:
         out = dataclasses.asdict(self)
@@ -155,6 +144,11 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
+        if {"award", "penalty"} & set(raw):
+            raise ConfigError(
+                "'award' and 'penalty' are replaced by one 'stake': the number of "
+                "individuals a contest moves from the loser to the winner"
+            )
         names = {f.name for f in dataclasses.fields(cls)}
         unknown = set(raw) - names
         if unknown:
@@ -169,6 +163,14 @@ class RunConfig:
 
     def replace(self, **changes) -> "RunConfig":
         return dataclasses.replace(self, **changes)
+
+
+def _checked(build, *args, **kwargs):
+    """``build(*args, **kwargs)``, with a ValueError it raises as a ConfigError."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
 
 
 @dataclass(frozen=True)
@@ -527,6 +529,7 @@ def friedman_test(matrix) -> FriedmanResult:
     referred to the chi-square distribution with ``methods - 1`` degrees of
     freedom.
     """
+    from scipy import stats as scipy_stats  # a second to import; only stats use it
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] < 2 or matrix.shape[1] < 2:
         raise ValueError("need at least 2 methods and 2 datasets")
@@ -562,6 +565,7 @@ class TTestResult:
 
 def paired_t_test(a, b) -> TTestResult:
     """Two-sided paired t-test of accuracy vectors ``a`` and ``b``."""
+    from scipy import stats as scipy_stats  # a second to import; only stats use it
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape or a.ndim != 1:

@@ -1,10 +1,15 @@
+import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import tribefs as t
-from tribefs.cli import main
+from tribefs.cli import _build_parser, _config_from_args, main
 
 from conftest import make_blobs
 
@@ -81,6 +86,77 @@ class TestRunCommand:
         assert main(["run", "--config", str(config_path)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_stake_moves_that_many_individuals(self, blob_csv, tmp_path):
+        out = tmp_path / "out"
+        assert main(run_flags(blob_csv, "--stake", "2", "--out", str(out))) == 0
+        payload = json.loads((out / "report.json").read_text())
+        assert payload["config"]["stake"] == 2
+        first = payload["results"][0]["competitions"][0]
+        assert sorted(first["sizes"]) == [98, 100, 102]
+
+
+# One non-default value per RunConfig field; a field added without a flag
+# (or without an entry here) fails the test below.
+FLAG_VALUES = {
+    "dataset": "blobs.csv",
+    "data_dir": "elsewhere",
+    "tribe_size": 50,
+    "n_tribes": 3,
+    "means": (2, 5, 8),
+    "sigma": 1.25,
+    "allow_infeasible": True,
+    "classifier": "nearest-centroid",
+    "folds": 4,
+    "fold_seed": 3,
+    "regularization": 0.5,
+    "subsample": 0.75,
+    "crossover_rate": 0.8,
+    "mutation_rate": 0.2,
+    "selection_pressure": 1.5,
+    "competition_interval": 3,
+    "stake": 2,
+    "min_tribe_size": 3,
+    "max_generations": 7,
+    "patience": 4,
+    "seed": 9,
+    "runs": 2,
+}
+
+
+def test_every_run_config_field_has_a_run_flag():
+    assert set(FLAG_VALUES) == {f.name for f in dataclasses.fields(t.RunConfig)}
+    default = t.RunConfig()
+    argv = ["run"]
+    for name, value in FLAG_VALUES.items():
+        assert value != getattr(default, name), name
+        flag = "--" + name.replace("_", "-")
+        if value is True:
+            argv.append(flag)
+        elif isinstance(value, tuple):
+            argv += [flag, ",".join(map(str, value))]
+        else:
+            argv += [flag, str(value)]
+    config = _config_from_args(_build_parser().parse_args(argv))
+    assert config == t.RunConfig(**FLAG_VALUES)
+
+
+def test_import_loads_no_scipy():
+    # SciPy costs about a second to import and only the stats commands use it.
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import sys, tribefs, tribefs.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    assert done.stdout.strip() == "[]"
+
 
 class TestSweepCommand:
     def test_interval_sweep(self, blob_csv, tmp_path, capsys):
@@ -124,6 +200,13 @@ class TestOracleCommand:
         payload = json.loads(out.read_text())
         assert payload["evaluations"] == 15
         assert set(payload["best_mask"]) <= {"0", "1"}
+
+    def test_bad_protocol_flag_exits_one(self, tmp_path, capsys):
+        dataset = make_blobs(n_per_class=10, n_features=4, seed=2)
+        path = tmp_path / "tiny.csv"
+        t.write_csv(dataset, path)
+        assert main(["oracle", "--dataset", str(path), "--regularization", "-1"]) == 1
+        assert "regularization" in capsys.readouterr().err
 
     def test_oracle_refusal_exits_one(self, tmp_path, capsys):
         dataset = make_blobs(n_per_class=3, n_features=22, seed=3)

@@ -22,15 +22,14 @@ def make_population(best_fitnesses, counts=None, n_features=10, mu=5.0, sigma=1.
 class TestCompetitionConfig:
     def test_defaults(self):
         config = t.CompetitionConfig()
-        assert (config.interval, config.award, config.penalty) == (2, 1, 1)
+        assert (config.interval, config.stake) == (2, 1)
         assert config.min_tribe_size == 2
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"interval": 0},
-            {"award": -1, "penalty": -1},
-            {"award": 2, "penalty": 1},
+            {"stake": -1},
             {"min_tribe_size": 0},
         ],
     )
@@ -67,7 +66,7 @@ class TestRankTribes:
 class TestApplyCompetition:
     def test_zero_stakes_is_identity(self):
         population = make_population([90.0, 85.0, 80.0])
-        config = t.CompetitionConfig(award=0, penalty=0)
+        config = t.CompetitionConfig(stake=0)
         result, record = t.apply_competition(
             population, config, surrogate_fitness, np.random.default_rng(0)
         )
@@ -92,7 +91,7 @@ class TestApplyCompetition:
     def test_population_total_conserved(self):
         population = make_population([88.0, 92.0, 85.0, 90.0])
         total = sum(tribe.size for tribe in population.tribes)
-        config = t.CompetitionConfig(award=2, penalty=2)
+        config = t.CompetitionConfig(stake=2)
         rng = np.random.default_rng(2)
         for _ in range(10):
             population, record = t.apply_competition(

@@ -57,6 +57,22 @@ class TestSelectionProbabilities:
         assert probs[2] > probs[0]
         assert probs.sum() == pytest.approx(1.0)
 
+    def test_ranks_equal_scipy_average_ranks(self):
+        rankdata = pytest.importorskip("scipy.stats").rankdata
+        rng = np.random.default_rng(0)
+        pressure = 1.8
+        for _ in range(500):
+            n = int(rng.integers(2, 60))
+            # Few distinct values: most draws hold ties, some of them long runs.
+            fitnesses = rng.integers(0, int(rng.integers(1, 8)), size=n) * 12.5
+            ranks = rankdata(fitnesses, method="average")
+            expected = (
+                2.0 - pressure + 2.0 * (pressure - 1.0) * (ranks - 1.0) / (n - 1.0)
+            ) / n
+            probs = t.selection_probabilities(fitnesses, pressure)
+            assert probs.dtype == expected.dtype
+            assert np.array_equal(probs, expected)
+
     def test_all_tied_is_uniform(self):
         probs = t.selection_probabilities([80.0] * 7, 2.0)
         assert probs == pytest.approx(np.full(7, 1.0 / 7))

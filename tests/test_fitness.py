@@ -1,5 +1,6 @@
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -450,6 +451,20 @@ class TestKfoldAccuracy:
             t.kfold_accuracy(blob_dataset, np.ones(5, dtype=np.uint8))
         with pytest.raises(ValueError, match="empty"):
             t.kfold_accuracy(blob_dataset, np.zeros(8, dtype=np.uint8))
+
+
+class TestNonConvergenceWarning:
+    def test_capped_solver_warns(self, blob_dataset, monkeypatch):
+        monkeypatch.setattr(fitness, "_MAX_ITER", 1)
+        evaluate = t.make_evaluator(blob_dataset, t.FitnessProtocol(folds=5))
+        with pytest.warns(RuntimeWarning, match="before converging"):
+            evaluate(t.Individual(np.ones(8, dtype=np.uint8)))
+
+    def test_converged_eval_is_silent(self, blob_dataset):
+        evaluate = t.make_evaluator(blob_dataset, t.FitnessProtocol(folds=5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            evaluate(t.Individual(np.ones(8, dtype=np.uint8)))
 
 
 class TestMakeEvaluator:

@@ -40,6 +40,11 @@ class TestRunConfig:
         with pytest.raises(t.ConfigError, match="unknown config keys"):
             t.RunConfig.from_dict({"tribal_size": 600})
 
+    @pytest.mark.parametrize("key", ["award", "penalty"])
+    def test_retired_stake_keys_name_stake(self, key):
+        with pytest.raises(t.ConfigError, match="'stake'"):
+            t.RunConfig.from_dict({key: 1})
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -47,7 +52,7 @@ class TestRunConfig:
             {"patience": -2},
             {"runs": 0},
             {"crossover_rate": 1.5},
-            {"award": 1, "penalty": 2},
+            {"stake": -1},
             {"classifier": "decision-tree"},
             {"folds": 1},
         ],
@@ -300,7 +305,7 @@ class TestPinnedReports:
         report = t.run_experiment(config, small_dataset)
         assert [r.generations for r in report.results] == [7, 6]
         assert report.fingerprint() == (
-            "8358b7e582bdbd1022faadb0b792f1aef7d3e2ce7fbc862f61e12a58ae0a543f"
+            "2f1f659b22e555990de39f9864efbb1e272f3fd8cbfb95dce69b6538a3b336d7"
         )
 
     def test_contests_with_fitness_ties(self):
@@ -323,7 +328,7 @@ class TestPinnedReports:
         assert len(result.competitions) == 12
         assert all(len(set(g.tribe_best)) < 3 for g in result.history)
         assert report.fingerprint() == (
-            "4447669db56a42592c7391f6ed5e02872282968c9d375fa8ce9c802292cbc153"
+            "4286cd8151d6eebfa928c7c9216743909a011199a5480a0c414644e47a2e35a9"
         )
 
 
