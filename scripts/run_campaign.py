@@ -4,7 +4,7 @@
 Twenty datasets, 25 runs each by default. At full budget this is a
 multi-day job on one machine; use --only and --runs to carve out pieces.
 Each dataset writes a report directory under --out, ready for
-`tribefs collect` and `tribefs stats`.
+`tribefs stats collect`.
 """
 
 import argparse
@@ -77,10 +77,7 @@ def main(argv=None):
         except (FileNotFoundError, t.DataError, t.ConfigError) as err:
             print(f"{name}: {err}", file=sys.stderr)
             return 1
-        out_dir = args.out / name
-        out_dir.mkdir(parents=True, exist_ok=True)
-        report.save_json(out_dir / "report.json")
-        report.save_tables(out_dir)
+        report.save(args.out / name)
         print(f"{name:12s} mean {report.accuracy_mean:6.2f}  "
               f"std {report.accuracy_std:5.2f}  {report.wall_time:8.1f}s")
     return 0

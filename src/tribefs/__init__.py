@@ -60,6 +60,7 @@ from .genesis import (
     init_population,
     sample_individual,
     sample_tribe,
+    validate_plan,
 )
 from .harness import (
     SWEEPABLE,
@@ -87,7 +88,6 @@ from .params import (
     derive_sigma,
     derive_tribe_count,
     place_means,
-    validate_plan,
 )
 
 __version__ = "0.1.0"

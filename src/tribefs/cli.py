@@ -42,10 +42,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ConfigError, DataError, FileNotFoundError, json.JSONDecodeError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return USAGE_EXIT
-    except ValueError as err:
+    except (ValueError, FileNotFoundError) as err:
+        # ConfigError, DataError and json.JSONDecodeError are ValueErrors.
         print(f"error: {err}", file=sys.stderr)
         return USAGE_EXIT
     except KeyboardInterrupt:
@@ -204,9 +202,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
     if args.out:
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        report.save_json(out / "report.json")
-        report.save_tables(out)
+        report.save(out)
         print(f"report written to {out}")
     return 0
 
@@ -233,10 +229,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             for value, mean, std, selected in rows:
                 writer.writerow([value, f"{mean:.6f}", f"{std:.6f}", f"{selected:.3f}"])
         for value, report in points:
-            point_dir = out / f"{args.param}-{value}"
-            point_dir.mkdir(exist_ok=True)
-            report.save_json(point_dir / "report.json")
-            report.save_tables(point_dir)
+            report.save(out / f"{args.param}-{value}")
         print(f"sweep written to {out}")
     return 0
 

@@ -369,11 +369,6 @@ def _column_stats(train: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return center, scale
 
 
-def _standardize(train: np.ndarray, test: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    center, scale = _column_stats(train)
-    return (train - center) / scale, (test - center) / scale
-
-
 def _subsample_rows(
     train_idx: np.ndarray,
     labels: np.ndarray,

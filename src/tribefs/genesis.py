@@ -6,22 +6,27 @@ counts always sum to the exact tribe size. Individuals are then drawn
 uniformly from the subsets of each bin's cardinality. The same allocation
 routine is reused by inter-tribe competition when a tribe is resized, which
 keeps growth and shrinkage consistent with the initial shape.
+:func:`validate_plan` checks a plan against these allocations and returns
+human-readable diagnostics instead of raising, so callers can decide
+whether to proceed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import CountHistogram, Individual, Population, Tribe
-from .params import TribePlan, validate_plan
+from .params import MIN_SIGMA, SIGMA_CAP_COEFF, TribePlan, derive_sigma
 
 __all__ = [
     "Allocation",
     "allocate_counts",
     "sample_individual",
     "sample_tribe",
+    "validate_plan",
     "init_population",
     "InfeasiblePlanError",
 ]
@@ -129,6 +134,48 @@ def sample_tribe(allocation: Allocation, rng: np.random.Generator) -> Tribe:
         for _ in range(allocation.counts[m])
     ]
     return Tribe(individuals=individuals, mu=allocation.mu, sigma=allocation.sigma)
+
+
+def validate_plan(plan: TribePlan) -> list[str]:
+    """Numerically check a plan; return diagnostics, empty when feasible.
+
+    Three families of checks: the spread must stay between the coverage
+    lower bound and the per-member cap, it must not degenerate below
+    :data:`MIN_SIGMA`, and every tribe's edge bins (one mean-gap out from
+    its mean, clamped to the valid cardinality range) must receive at least
+    one individual under the actual integer allocation.
+    """
+    diagnostics: list[str] = []
+    lower = derive_sigma(plan.n_features, plan.n_tribes)
+    cap = SIGMA_CAP_COEFF * plan.tribe_size
+    if plan.sigma < lower - 1e-9:
+        diagnostics.append(
+            f"sigma {plan.sigma:.4f} is below the coverage lower bound {lower:.4f}; "
+            f"tribes no longer half-overlap and some cardinalities go unsearched"
+        )
+    if plan.sigma > cap + 1e-9:
+        diagnostics.append(
+            f"sigma {plan.sigma:.4f} exceeds the per-member cap {cap:.4f} "
+            f"for tribe_size {plan.tribe_size}; edge bins round to zero"
+        )
+    if plan.sigma < MIN_SIGMA:
+        diagnostics.append(
+            f"sigma {plan.sigma:.4f} is below {MIN_SIGMA}; the discrete profile "
+            f"degenerates to a single cardinality bin"
+        )
+    span = plan.n_features / (plan.n_tribes + 1)
+    for k, mu in enumerate(plan.means):
+        allocation = allocate_counts(plan.n_features, mu, plan.sigma, plan.tribe_size)
+        # Outermost bins inside the tribe's scope, clamped to the valid range.
+        low = min(max(int(math.ceil(mu - span)), 1), plan.n_features)
+        high = min(max(int(math.floor(mu + span)), 1), plan.n_features)
+        for bin_m in {low, high}:
+            if allocation.counts.get(bin_m, 0) < 1:
+                diagnostics.append(
+                    f"tribe {k} (mean {mu}): edge cardinality {bin_m} receives no "
+                    f"individuals at tribe_size {plan.tribe_size}"
+                )
+    return diagnostics
 
 
 def init_population(plan: TribePlan, rng: np.random.Generator) -> Population:

@@ -153,11 +153,8 @@ class RunConfig:
         unknown = set(raw) - names
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        cleaned = dict(raw)
-        if cleaned.get("means") is not None:
-            cleaned["means"] = tuple(int(m) for m in cleaned["means"])
         try:
-            return cls(**cleaned)
+            return cls(**raw)
         except TypeError as err:
             raise ConfigError(str(err)) from err
 
@@ -229,51 +226,29 @@ class RunReport:
     wall_time: float
 
     def canonical_dict(self) -> dict:
-        out = self.to_dict()
+        out = dataclasses.asdict(self)
         out.pop("wall_time")
         for result in out["results"]:
             result.pop("wall_time")
         return out
 
-    def to_dict(self) -> dict:
-        return {
-            "config": dict(self.config),
-            "dataset_name": self.dataset_name,
-            "n_features": self.n_features,
-            "n_instances": self.n_instances,
-            "results": [
-                {
-                    "run": r.run,
-                    "best_mask": r.best_mask,
-                    "best_accuracy": r.best_accuracy,
-                    "best_count": r.best_count,
-                    "generations": r.generations,
-                    "evaluations": r.evaluations,
-                    "wall_time": r.wall_time,
-                    "history": [dataclasses.asdict(g) for g in r.history],
-                    "competitions": [dataclasses.asdict(c) for c in r.competitions],
-                }
-                for r in self.results
-            ],
-            "accuracy_mean": self.accuracy_mean,
-            "accuracy_std": self.accuracy_std,
-            "mean_selected": self.mean_selected,
-            "wall_time": self.wall_time,
-        }
-
     def fingerprint(self) -> str:
         canonical = json.dumps(self.canonical_dict(), sort_keys=True, default=_plain)
         return hashlib.sha256(canonical.encode()).hexdigest()
 
-    def save_json(self, path) -> None:
-        payload = self.to_dict()
-        payload["fingerprint"] = self.fingerprint()
-        Path(path).write_text(json.dumps(payload, indent=2, default=_plain) + "\n")
+    def save(self, out_dir) -> None:
+        """Write the report directory, creating ``out_dir`` if needed.
 
-    def save_tables(self, out_dir) -> None:
-        """Write summary.csv, trace.csv, and competitions.csv under out_dir."""
+        It holds report.json (every field, plus the fingerprint),
+        summary.csv, trace.csv and competitions.csv.
+        """
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
+        payload = dataclasses.asdict(self)
+        payload["fingerprint"] = self.fingerprint()
+        (out_dir / "report.json").write_text(
+            json.dumps(payload, indent=2, default=_plain) + "\n"
+        )
         with open(out_dir / "summary.csv", "w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(

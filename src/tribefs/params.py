@@ -4,9 +4,8 @@ Tribe means are spread evenly over the cardinality range, the common spread
 ``sigma`` is tied to the gap between neighbouring means so adjacent tribes
 half-overlap, and the tribe count is chosen so that even the outermost
 cardinality bins of every tribe are populated at the configured tribe size.
-All derivations are deterministic closed forms; :func:`validate_plan` checks
-a concrete plan numerically and returns human-readable diagnostics instead
-of raising, so callers can decide whether to proceed.
+All derivations are deterministic closed forms; ``genesis.validate_plan``
+checks a concrete plan numerically against the allocation it would get.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ __all__ = [
     "derive_tribe_count",
     "place_means",
     "TribePlan",
-    "validate_plan",
 ]
 
 # Largest admissible sigma per tribe member: with means one 3*sigma-span apart,
@@ -150,47 +148,3 @@ class TribePlan:
             sigma=float(sigma),
             allow_infeasible=allow_infeasible,
         )
-
-
-def validate_plan(plan: TribePlan) -> list[str]:
-    """Numerically check a plan; return diagnostics, empty when feasible.
-
-    Three families of checks: the spread must stay between the coverage
-    lower bound and the per-member cap, it must not degenerate below
-    :data:`MIN_SIGMA`, and every tribe's edge bins (one mean-gap out from
-    its mean, clamped to the valid cardinality range) must receive at least
-    one individual under the actual integer allocation.
-    """
-    from .genesis import allocate_counts  # late import keeps the modules acyclic
-
-    diagnostics: list[str] = []
-    lower = derive_sigma(plan.n_features, plan.n_tribes)
-    cap = SIGMA_CAP_COEFF * plan.tribe_size
-    if plan.sigma < lower - 1e-9:
-        diagnostics.append(
-            f"sigma {plan.sigma:.4f} is below the coverage lower bound {lower:.4f}; "
-            f"tribes no longer half-overlap and some cardinalities go unsearched"
-        )
-    if plan.sigma > cap + 1e-9:
-        diagnostics.append(
-            f"sigma {plan.sigma:.4f} exceeds the per-member cap {cap:.4f} "
-            f"for tribe_size {plan.tribe_size}; edge bins round to zero"
-        )
-    if plan.sigma < MIN_SIGMA:
-        diagnostics.append(
-            f"sigma {plan.sigma:.4f} is below {MIN_SIGMA}; the discrete profile "
-            f"degenerates to a single cardinality bin"
-        )
-    span = plan.n_features / (plan.n_tribes + 1)
-    for k, mu in enumerate(plan.means):
-        allocation = allocate_counts(plan.n_features, mu, plan.sigma, plan.tribe_size)
-        # Outermost bins inside the tribe's scope, clamped to the valid range.
-        low = min(max(int(math.ceil(mu - span)), 1), plan.n_features)
-        high = min(max(int(math.floor(mu + span)), 1), plan.n_features)
-        for bin_m in {low, high}:
-            if allocation.counts.get(bin_m, 0) < 1:
-                diagnostics.append(
-                    f"tribe {k} (mean {mu}): edge cardinality {bin_m} receives no "
-                    f"individuals at tribe_size {plan.tribe_size}"
-                )
-    return diagnostics

@@ -9,7 +9,7 @@ import tribefs as t
 from tribefs import fitness
 
 from conftest import make_blobs
-from fitness_reference import loop_predict, reference_kfold_accuracy
+from fitness_reference import loop_predict, reference_kfold_accuracy, standardize
 from svm_reference import margin_objective, pair_problems, reference_linear_svm
 
 
@@ -230,7 +230,7 @@ class TestSolverParity:
             training, testing = [], []
             for fold in range(plan.k):
                 train_idx, test_idx = plan.train_indices(fold), plan.test_indices(fold)
-                X_train, X_test = fitness._standardize(X[train_idx], X[test_idx])
+                X_train, X_test = standardize(X[train_idx], X[test_idx])
                 training.append((X_train, y[train_idx]))
                 testing.append((X_test, y[test_idx]))
             models = fitness._fit_linear_svms(training, 1.0, 1000)

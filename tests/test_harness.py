@@ -171,18 +171,17 @@ class TestRunExperiment:
 
 
 class TestReportSerialization:
-    def test_save_json_includes_fingerprint(self, tmp_path, small_dataset):
+    def test_save_writes_report_json_with_fingerprint(self, tmp_path, small_dataset):
         report = t.run_experiment(tiny_config(runs=1), small_dataset)
-        path = tmp_path / "report.json"
-        report.save_json(path)
-        payload = json.loads(path.read_text())
+        report.save(tmp_path)
+        payload = json.loads((tmp_path / "report.json").read_text())
         assert payload["fingerprint"] == report.fingerprint()
         assert payload["config"]["tribe_size"] == 100
         assert len(payload["results"]) == 1
 
-    def test_save_tables_writes_three_csvs(self, tmp_path, small_dataset):
+    def test_save_writes_three_csvs(self, tmp_path, small_dataset):
         report = t.run_experiment(tiny_config(runs=1), small_dataset)
-        report.save_tables(tmp_path)
+        report.save(tmp_path)
         for name in ("summary.csv", "trace.csv", "competitions.csv"):
             lines = (tmp_path / name).read_text().splitlines()
             assert len(lines) >= 1
