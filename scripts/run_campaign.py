@@ -58,6 +58,10 @@ def main(argv=None):
             parser.error(f"no layout for {', '.join(unknown)}")
         layouts = [row for row in LAYOUTS if row[0] in args.only]
 
+    # Load every dataset and check its layout before the first run, so a
+    # missing file or a bad layout stops the campaign at once instead of
+    # after hours of runs on the datasets before it.
+    planned = []
     for name, n_tribes, size, means in layouts:
         config = t.RunConfig(
             dataset=name,
@@ -73,10 +77,17 @@ def main(argv=None):
             seed=args.seed,
         )
         try:
-            report = t.run_experiment(config)
+            dataset = t.resolve_dataset(config)
+            config.plan(dataset.n_features)
         except (FileNotFoundError, t.DataError, t.ConfigError) as err:
             print(f"{name}: {err}", file=sys.stderr)
-            return 1
+        else:
+            planned.append((name, config, dataset))
+    if len(planned) < len(layouts):
+        return 1
+
+    for name, config, dataset in planned:
+        report = t.run_experiment(config, dataset)
         report.save(args.out / name)
         print(f"{name:12s} mean {report.accuracy_mean:6.2f}  "
               f"std {report.accuracy_std:5.2f}  {report.wall_time:8.1f}s")

@@ -7,7 +7,7 @@ individuals toward the tribes finding the better subsets. Fitness is
 cross-validated classifier accuracy on the candidate feature columns.
 """
 
-from .competition import CompetitionConfig, CompetitionRecord, apply_competition, rank_tribes, resize_counts
+from .competition import CompetitionConfig, CompetitionRecord, apply_competition, rank_tribes
 from .core import (
     CountHistogram,
     Individual,
@@ -54,12 +54,11 @@ from .fitness import (
     train_linear_svm,
 )
 from .genesis import (
-    Allocation,
     InfeasiblePlanError,
     allocate_counts,
     init_population,
+    sample_counts,
     sample_individual,
-    sample_tribe,
     validate_plan,
 )
 from .harness import (

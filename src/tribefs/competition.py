@@ -3,10 +3,10 @@
 Every few generations the tribes are ranked by their best individual's
 fitness; the top tribe gains ``stake`` individuals and the weakest tribe that
 can still afford the loss gives up the same ``stake``, so the population
-total is conserved. Resizing reshapes a tribe's cardinality histogram with
-the same allocation rule used at initialization, removing the weakest
-members of over-full bins and sampling fresh individuals into under-full
-ones. A tribe's best individual always survives its own tribe's shrinkage.
+total is conserved. A resized tribe's histogram is ``allocate_counts`` of
+the new size with ``keep`` set to its best individual's cardinality; there
+is no separate resize target. The weakest other members of over-full bins
+leave and fresh individuals fill under-full ones.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    CountHistogram,
     Population,
     Tribe,
     best_index,
@@ -25,13 +24,12 @@ from .core import (
     histogram,
     rank_key,
 )
-from .genesis import Allocation, allocate_counts, sample_individual
+from .genesis import allocate_counts, sample_counts
 
 __all__ = [
     "CompetitionConfig",
     "CompetitionRecord",
     "rank_tribes",
-    "resize_counts",
     "apply_competition",
 ]
 
@@ -74,57 +72,6 @@ def rank_tribes(population: Population) -> list[int]:
     )
 
 
-def resize_counts(
-    current: CountHistogram,
-    n_features: int,
-    mu: float,
-    sigma: float,
-    new_size: int,
-) -> tuple[CountHistogram, dict[int, int]]:
-    """Target histogram for a resized tribe plus per-bin deltas.
-
-    The target is the same allocation a fresh tribe of ``new_size`` would
-    get, so resizing is a fixed point when the size does not change. Deltas
-    map cardinality to the signed member change; zero entries are omitted.
-    """
-    allocation = allocate_counts(n_features, mu, sigma, new_size)
-    target = dict(allocation.counts)
-    deltas = {
-        m: target.get(m, 0) - current.get(m, 0)
-        for m in sorted(set(current) | set(target))
-        if target.get(m, 0) != current.get(m, 0)
-    }
-    return target, deltas
-
-
-def _reserve_best_seat(
-    target: CountHistogram, allocation: Allocation, elite_class: int
-) -> CountHistogram:
-    """Keep one seat in the best individual's bin when the target drops it.
-
-    The seat is taken from the most over-allocated occupied bin (smallest
-    quota minus count; ties prefer the bin farther from the mean, then the
-    higher cardinality), so the total stays intact.
-    """
-    if target.get(elite_class, 0) >= 1:
-        return target
-    adjusted = dict(target)
-    donors = [m for m in adjusted if m != elite_class and adjusted[m] > 0]
-    donor = min(
-        donors,
-        key=lambda m: (
-            float(allocation.quotas[m - 1]) - adjusted[m],
-            -abs(m - allocation.mu),
-            -m,
-        ),
-    )
-    adjusted[donor] -= 1
-    if adjusted[donor] == 0:
-        del adjusted[donor]
-    adjusted[elite_class] = 1
-    return adjusted
-
-
 def _resize_tribe(
     tribe: Tribe,
     new_size: int,
@@ -132,29 +79,27 @@ def _resize_tribe(
     rng: np.random.Generator,
 ) -> Tribe:
     """Grow or shrink a tribe to ``new_size`` while keeping its best member."""
-    n_features = tribe.n_features
-    allocation = allocate_counts(n_features, tribe.mu, tribe.sigma, new_size)
     elite_idx = best_index(tribe)
-    elite_class = count_selected(tribe.individuals[elite_idx])
-    target = _reserve_best_seat(dict(allocation.counts), allocation, elite_class)
-
+    keep = count_selected(tribe.individuals[elite_idx])
+    target = allocate_counts(tribe.n_features, tribe.mu, tribe.sigma, new_size, keep)
     current = histogram(tribe)
     doomed: set[int] = set()
-    newcomers = []
-    for m in sorted(set(current) | set(target)):
-        delta = target.get(m, 0) - current.get(m, 0)
-        if delta < 0:
+    for m, have in current.items():
+        surplus = have - target.get(m, 0)
+        if surplus > 0:
             # Weakest members of the bin leave; the tribe's best never does.
-            members = [
+            members = sorted(
                 (ind.fitness, idx)
                 for idx, ind in enumerate(tribe.individuals)
                 if idx != elite_idx and count_selected(ind) == m
-            ]
-            members.sort()
-            doomed.update(idx for _, idx in members[: -delta])
-        elif delta > 0:
-            for _ in range(delta):
-                newcomers.append(sample_individual(n_features, m, rng))
+            )
+            doomed.update(idx for _, idx in members[:surplus])
+    missing = {
+        m: want - current.get(m, 0)
+        for m, want in target.items()
+        if want > current.get(m, 0)
+    }
+    newcomers = sample_counts(tribe.n_features, missing, rng)
     for ind in newcomers:
         ind.fitness = fitness_fn(ind)
     survivors = [

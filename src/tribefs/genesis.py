@@ -3,9 +3,9 @@
 Each tribe's size is split across cardinality bins by a discrete Gaussian
 profile, rounded to integers with a largest-remainder repair so the bin
 counts always sum to the exact tribe size. Individuals are then drawn
-uniformly from the subsets of each bin's cardinality. The same allocation
-routine is reused by inter-tribe competition when a tribe is resized, which
-keeps growth and shrinkage consistent with the initial shape.
+uniformly from the subsets of each bin's cardinality. Competition resizes
+a tribe with the same :func:`allocate_counts`, its ``keep`` holding a seat
+for the best individual; there is no separate resize target.
 :func:`validate_plan` checks a plan against these allocations and returns
 human-readable diagnostics instead of raising, so callers can decide
 whether to proceed.
@@ -14,7 +14,6 @@ whether to proceed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,10 +21,9 @@ from .core import CountHistogram, Individual, Population, Tribe
 from .params import MIN_SIGMA, SIGMA_CAP_COEFF, TribePlan, derive_sigma
 
 __all__ = [
-    "Allocation",
     "allocate_counts",
     "sample_individual",
-    "sample_tribe",
+    "sample_counts",
     "validate_plan",
     "init_population",
     "InfeasiblePlanError",
@@ -34,28 +32,6 @@ __all__ = [
 
 class InfeasiblePlanError(ValueError):
     """Raised when a plan fails validation and overrides were not requested."""
-
-
-@dataclass(eq=False)
-class Allocation:
-    """Integer head-count per cardinality bin for one tribe.
-
-    ``counts`` maps cardinality to the number of individuals initialized at
-    that cardinality (zero bins omitted) and always sums to ``size``.
-    ``quotas`` keeps the fractional targets the integers were rounded from;
-    competition uses them to pick which bin absorbs rounding corrections.
-    """
-
-    counts: CountHistogram
-    size: int
-    n_features: int
-    mu: float
-    sigma: float
-    quotas: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if sum(self.counts.values()) != self.size:
-            raise ValueError("bin counts must sum to the tribe size")
 
 
 def _gaussian_quotas(n_features: int, mu: float, sigma: float, size: int) -> np.ndarray:
@@ -68,7 +44,9 @@ def _gaussian_quotas(n_features: int, mu: float, sigma: float, size: int) -> np.
     return size * weights / total
 
 
-def allocate_counts(n_features: int, mu: float, sigma: float, size: int) -> Allocation:
+def allocate_counts(
+    n_features: int, mu: float, sigma: float, size: int, keep: int | None = None
+) -> CountHistogram:
     """Split ``size`` individuals over cardinalities 1..n_features.
 
     The Gaussian profile is normalized over the valid cardinality range,
@@ -78,6 +56,8 @@ def allocate_counts(n_features: int, mu: float, sigma: float, size: int) -> Allo
     the most over-rounded bin that still has members. Ties prefer the bin
     closer to the mean for additions and farther from it for removals, then
     the lower / higher cardinality respectively, so the result is unique.
+    When ``keep``'s bin ends up empty, the bin the deficit rule picks gives
+    it one seat. Returns the histogram, zero bins omitted.
     """
     if size < 1:
         raise ValueError("size must be positive")
@@ -85,33 +65,29 @@ def allocate_counts(n_features: int, mu: float, sigma: float, size: int) -> Allo
         raise ValueError("mu must lie within [1, n_features]")
     if sigma <= 0:
         raise ValueError("sigma must be positive")
+    if keep is not None and not 1 <= keep <= n_features:
+        raise ValueError("keep must lie within [1, n_features]")
     quotas = _gaussian_quotas(n_features, mu, sigma, size)
     base = np.floor(quotas + 0.5).astype(np.int64)
-    residue = size - int(base.sum())
     m_values = np.arange(1, n_features + 1)
     distance = np.abs(m_values - mu)
-    while residue != 0:
-        gap = quotas - base
-        if residue > 0:
-            order = np.lexsort((m_values, distance, -gap))
-            base[order[0]] += 1
-            residue -= 1
-        else:
-            eligible = base > 0
-            # Push already-over-rounded bins to the front; empty bins never donate.
-            order = np.lexsort((-m_values, -distance, gap))
-            order = order[eligible[order]]
-            base[order[0]] -= 1
-            residue += 1
-    counts = {int(m): int(c) for m, c in zip(m_values, base) if c > 0}
-    return Allocation(
-        counts=counts,
-        size=size,
-        n_features=n_features,
-        mu=mu,
-        sigma=sigma,
-        quotas=quotas,
-    )
+
+    def donor() -> int:
+        # Most over-rounded bin first; empty bins never donate.
+        order = np.lexsort((-m_values, -distance, quotas - base))
+        return int(order[base[order] > 0][0])
+
+    residue = size - int(base.sum())
+    while residue > 0:
+        order = np.lexsort((m_values, distance, -(quotas - base)))
+        base[order[0]] += 1
+        residue -= 1
+    for _ in range(-residue):
+        base[donor()] -= 1
+    if keep is not None and base[keep - 1] == 0:
+        base[donor()] -= 1
+        base[keep - 1] = 1
+    return {int(m): int(c) for m, c in zip(m_values, base) if c > 0}
 
 
 def sample_individual(
@@ -126,14 +102,15 @@ def sample_individual(
     return Individual(mask)
 
 
-def sample_tribe(allocation: Allocation, rng: np.random.Generator) -> Tribe:
-    """Materialize a tribe matching an allocation, bins filled in ascending order."""
-    individuals = [
-        sample_individual(allocation.n_features, m, rng)
-        for m in sorted(allocation.counts)
-        for _ in range(allocation.counts[m])
+def sample_counts(
+    n_features: int, counts: CountHistogram, rng: np.random.Generator
+) -> list[Individual]:
+    """Draw ``counts[m]`` individuals of each cardinality m, bins in ascending order."""
+    return [
+        sample_individual(n_features, m, rng)
+        for m in sorted(counts)
+        for _ in range(counts[m])
     ]
-    return Tribe(individuals=individuals, mu=allocation.mu, sigma=allocation.sigma)
 
 
 def validate_plan(plan: TribePlan) -> list[str]:
@@ -165,12 +142,12 @@ def validate_plan(plan: TribePlan) -> list[str]:
         )
     span = plan.n_features / (plan.n_tribes + 1)
     for k, mu in enumerate(plan.means):
-        allocation = allocate_counts(plan.n_features, mu, plan.sigma, plan.tribe_size)
+        counts = allocate_counts(plan.n_features, mu, plan.sigma, plan.tribe_size)
         # Outermost bins inside the tribe's scope, clamped to the valid range.
         low = min(max(int(math.ceil(mu - span)), 1), plan.n_features)
         high = min(max(int(math.floor(mu + span)), 1), plan.n_features)
         for bin_m in {low, high}:
-            if allocation.counts.get(bin_m, 0) < 1:
+            if counts.get(bin_m, 0) < 1:
                 diagnostics.append(
                     f"tribe {k} (mean {mu}): edge cardinality {bin_m} receives no "
                     f"individuals at tribe_size {plan.tribe_size}"
@@ -191,6 +168,7 @@ def init_population(plan: TribePlan, rng: np.random.Generator) -> Population:
     streams = rng.spawn(plan.n_tribes)
     tribes = []
     for mu, stream in zip(plan.means, streams):
-        allocation = allocate_counts(plan.n_features, mu, plan.sigma, plan.tribe_size)
-        tribes.append(sample_tribe(allocation, stream))
+        counts = allocate_counts(plan.n_features, mu, plan.sigma, plan.tribe_size)
+        individuals = sample_counts(plan.n_features, counts, stream)
+        tribes.append(Tribe(individuals=individuals, mu=mu, sigma=plan.sigma))
     return Population(tribes=tribes)

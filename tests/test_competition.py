@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import tribefs as t
+from tribefs.competition import _resize_tribe
 
 from conftest import make_tribe, surrogate_fitness
 
@@ -152,28 +153,12 @@ class TestApplyCompetition:
             population, config, surrogate_fitness, np.random.default_rng(6)
         )
         for idx in (record.winner, record.loser):
+            before = population.tribes[idx]
             tribe = result.tribes[idx]
-            target, _ = t.resize_counts(
-                t.histogram(population.tribes[idx]),
-                tribe.n_features,
-                tribe.mu,
-                tribe.sigma,
-                tribe.size,
+            elite = before.individuals[t.best_index(before)]
+            assert t.histogram(tribe) == t.allocate_counts(
+                tribe.n_features, tribe.mu, tribe.sigma, tribe.size, keep=elite.count
             )
-            observed = t.histogram(tribe)
-            # The loser may keep one off-target seat for its best individual.
-            diff = {
-                m: observed.get(m, 0) - target.get(m, 0)
-                for m in set(observed) | set(target)
-                if observed.get(m, 0) != target.get(m, 0)
-            }
-            if diff:
-                assert idx == record.loser
-                assert sorted(diff.values()) == [-1, 1]
-                elite = population.tribes[idx].individuals[
-                    t.best_index(population.tribes[idx])
-                ]
-                assert diff[t.count_selected(elite)] == 1
 
     def test_best_individual_survives_shrink(self):
         rng = np.random.default_rng(7)
@@ -222,10 +207,13 @@ class TestApplyCompetition:
             population, t.CompetitionConfig(), surrogate_fitness, np.random.default_rng(9)
         )
         assert record.loser == 1
-        target, deltas = t.resize_counts(
-            t.histogram(loser), loser.n_features, loser.mu, loser.sigma, loser.size - 1
+        elite = loser.individuals[t.best_index(loser)]
+        target = t.allocate_counts(
+            loser.n_features, loser.mu, loser.sigma, loser.size - 1, keep=elite.count
         )
-        shrunk_bin = next(m for m, d in deltas.items() if d < 0)
+        shrunk_bin = next(
+            m for m, have in t.histogram(loser).items() if have > target.get(m, 0)
+        )
         evicted_pool = sorted(
             (ind.fitness, idx)
             for idx, ind in enumerate(loser.individuals)
@@ -258,3 +246,14 @@ class TestApplyCompetition:
             assert [ind.key() for ind in tribe_a.individuals] == [
                 ind.key() for ind in tribe_b.individuals
             ]
+
+
+class TestResizeTribe:
+    def test_resize_is_fixed_point_at_same_size(self):
+        # A tribe already at its allocation keeps every member and draws nothing.
+        counts = t.allocate_counts(10, 5.0, 1.5, 30)
+        tribe = make_tribe(counts, n_features=10, mu=5.0, sigma=1.5, seed=0)
+        resized = _resize_tribe(tribe, 30, surrogate_fitness, np.random.default_rng(0))
+        assert [ind.key() for ind in resized.individuals] == [
+            ind.key() for ind in tribe.individuals
+        ]

@@ -7,10 +7,16 @@ from hypothesis import strategies as st
 from scipy.stats import chi2
 
 import tribefs as t
+from tribefs.genesis import _gaussian_quotas
 
 
-def reference_allocation(n_features, mu, sigma, size):
-    """Straight-line reimplementation: quotas, nearest-integer, remainder repair."""
+def reference_allocation(n_features, mu, sigma, size, keep=None):
+    """Straight-line reimplementation: quotas, nearest-integer, remainder repair.
+
+    With ``keep`` set and its bin empty after the repair, the most
+    over-allocated other occupied bin (ties: farther from the mean, then the
+    higher cardinality) gives up one seat to it.
+    """
     weights = [
         math.exp(-((m - mu) ** 2) / (2.0 * sigma * sigma))
         for m in range(1, n_features + 1)
@@ -34,20 +40,35 @@ def reference_allocation(n_features, mu, sigma, size):
             )
             base[m - 1] -= 1
             residue += 1
+    if keep is not None and base[keep - 1] == 0:
+        donor = min(
+            (m for m in range(1, n_features + 1) if m != keep and base[m - 1] > 0),
+            key=lambda m: (quotas[m - 1] - base[m - 1], -abs(m - mu), -m),
+        )
+        base[donor - 1] -= 1
+        base[keep - 1] = 1
     return {m: base[m - 1] for m in range(1, n_features + 1) if base[m - 1] > 0}
+
+
+def bin_deltas(before, after):
+    """Signed per-bin change between two histograms; zero entries omitted."""
+    return {
+        m: after.get(m, 0) - before.get(m, 0)
+        for m in set(before) | set(after)
+        if after.get(m, 0) != before.get(m, 0)
+    }
 
 
 class TestAllocateCounts:
     def test_frozen_canonical_allocation(self):
         # Values frozen from the reference implementation before coding.
-        alloc = t.allocate_counts(9, 5, 0.75, 600)
-        assert alloc.counts == {3: 9, 4: 132, 5: 319, 6: 131, 7: 9}
+        assert t.allocate_counts(9, 5, 0.75, 600) == {3: 9, 4: 132, 5: 319, 6: 131, 7: 9}
 
     def test_frozen_neighbour_sizes(self):
-        assert t.allocate_counts(9, 5, 0.75, 601).counts == {
+        assert t.allocate_counts(9, 5, 0.75, 601) == {
             3: 9, 4: 132, 5: 320, 6: 131, 7: 9,
         }
-        assert t.allocate_counts(9, 5, 0.75, 599).counts == {
+        assert t.allocate_counts(9, 5, 0.75, 599) == {
             3: 9, 4: 131, 5: 319, 6: 131, 7: 9,
         }
 
@@ -58,10 +79,10 @@ class TestAllocateCounts:
             mu = float(rng.uniform(1, n))
             sigma = float(rng.uniform(0.3, n / 2))
             size = int(rng.integers(1, 500))
-            alloc = t.allocate_counts(n, mu, sigma, size)
-            assert sum(alloc.counts.values()) == size
-            assert all(1 <= m <= n for m in alloc.counts)
-            assert all(c > 0 for c in alloc.counts.values())
+            counts = t.allocate_counts(n, mu, sigma, size)
+            assert sum(counts.values()) == size
+            assert all(1 <= m <= n for m in counts)
+            assert all(c > 0 for c in counts.values())
 
     @given(
         st.integers(2, 30),
@@ -72,13 +93,49 @@ class TestAllocateCounts:
     @settings(max_examples=150, deadline=None)
     def test_matches_reference_implementation(self, n, sigma, size, data):
         mu = data.draw(st.integers(1, n))
-        alloc = t.allocate_counts(n, mu, sigma, size)
-        assert alloc.counts == reference_allocation(n, mu, sigma, size)
+        keep = data.draw(st.none() | st.integers(1, n))
+        counts = t.allocate_counts(n, mu, sigma, size, keep=keep)
+        assert counts == reference_allocation(n, mu, sigma, size, keep)
 
     def test_rounding_never_off_by_more_than_one(self):
-        alloc = t.allocate_counts(9, 5, 0.75, 600)
-        for m, count in alloc.counts.items():
-            assert abs(count - float(alloc.quotas[m - 1])) <= 1.0
+        quotas = _gaussian_quotas(9, 5, 0.75, 600)
+        for m, count in t.allocate_counts(9, 5, 0.75, 600).items():
+            assert abs(count - float(quotas[m - 1])) <= 1.0
+
+    def test_frozen_keep_takes_the_most_over_rounded_seat(self):
+        # Bin 1 rounds to empty; bin 4 (quota 131.2, count 132) pays for it.
+        assert t.allocate_counts(9, 5, 0.75, 600, keep=1) == {
+            1: 1, 3: 9, 4: 131, 5: 319, 6: 131, 7: 9,
+        }
+        # An occupied bin needs no seat, so keep changes nothing.
+        assert t.allocate_counts(9, 5, 0.75, 600, keep=3) == t.allocate_counts(
+            9, 5, 0.75, 600
+        )
+
+    def test_frozen_award_and_penalty_deltas(self):
+        # One seat more or less moves exactly one bin by one.
+        current = t.allocate_counts(9, 5, 0.75, 600)
+        up = t.allocate_counts(9, 5, 0.75, 601)
+        down = t.allocate_counts(9, 5, 0.75, 599)
+        assert bin_deltas(current, up) == {5: 1}
+        assert bin_deltas(current, down) == {4: -1}
+
+    def test_single_step_resizes_stay_small(self):
+        # A +/-1 resize nets exactly one individual and moves each bin at most
+        # one slot. The total reshuffle is unbounded in general (rounding
+        # boundaries for several bins can flip at once), so the per-bin bound
+        # is the invariant worth holding.
+        rng = np.random.default_rng(5)
+        for _ in range(100):
+            n = int(rng.integers(4, 30))
+            mu = int(rng.integers(1, n + 1))
+            sigma = float(rng.uniform(0.75, 4.0))
+            size = int(rng.integers(6, 300))
+            current = t.allocate_counts(n, mu, sigma, size)
+            for step in (1, -1):
+                deltas = bin_deltas(current, t.allocate_counts(n, mu, sigma, size + step))
+                assert sum(deltas.values()) == step
+                assert all(abs(d) == 1 for d in deltas.values())
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -87,10 +144,13 @@ class TestAllocateCounts:
             t.allocate_counts(9, 5, 0.0, 10)
         with pytest.raises(ValueError):
             t.allocate_counts(9, 5, 1.0, 0)
+        with pytest.raises(ValueError):
+            t.allocate_counts(9, 5, 1.0, 10, keep=0)
+        with pytest.raises(ValueError):
+            t.allocate_counts(9, 5, 1.0, 10, keep=10)
 
     def test_tiny_sigma_concentrates_on_mean(self):
-        alloc = t.allocate_counts(20, 7, 0.05, 50)
-        assert alloc.counts == {7: 50}
+        assert t.allocate_counts(20, 7, 0.05, 50) == {7: 50}
 
 
 class TestSampleIndividual:
@@ -124,16 +184,6 @@ class TestSampleIndividual:
         assert len(seen) == 6  # all C(4,2) subsets appear
 
 
-class TestSampleTribe:
-    def test_tribe_matches_allocation(self):
-        alloc = t.allocate_counts(9, 5, 0.75, 60)
-        tribe = t.sample_tribe(alloc, np.random.default_rng(0))
-        assert tribe.size == 60
-        assert t.histogram(tribe) == alloc.counts
-        assert tribe.mu == 5
-        assert tribe.sigma == 0.75
-
-
 class TestInitPopulation:
     def test_population_matches_plan(self):
         plan = t.TribePlan.derive(10, tribe_size=100, n_tribes=3)
@@ -142,7 +192,8 @@ class TestInitPopulation:
         assert [tribe.mu for tribe in population.tribes] == list(plan.means)
         for tribe in population.tribes:
             expected = t.allocate_counts(10, tribe.mu, plan.sigma, plan.tribe_size)
-            assert t.histogram(tribe) == expected.counts
+            assert t.histogram(tribe) == expected
+            assert tribe.sigma == plan.sigma
 
     def test_same_seed_bit_identical(self):
         plan = t.TribePlan.derive(10, tribe_size=100, n_tribes=3)
@@ -171,37 +222,3 @@ class TestInitPopulation:
         plan = t.TribePlan.derive(10, tribe_size=4, n_tribes=3, allow_infeasible=True)
         population = t.init_population(plan, np.random.default_rng(0))
         assert population.size == 12
-
-
-class TestResizeDeltas:
-    def test_resize_is_fixed_point_at_same_size(self):
-        current = t.allocate_counts(9, 5, 0.75, 600).counts
-        target, deltas = t.resize_counts(current, 9, 5, 0.75, 600)
-        assert target == current
-        assert deltas == {}
-
-    def test_frozen_award_and_penalty_deltas(self):
-        current = t.allocate_counts(9, 5, 0.75, 600).counts
-        _, up = t.resize_counts(current, 9, 5, 0.75, 601)
-        _, down = t.resize_counts(current, 9, 5, 0.75, 599)
-        assert up == {5: 1}
-        assert down == {4: -1}
-
-    def test_single_step_resizes_stay_small(self):
-        # A +/-1 resize nets exactly one individual and moves each bin at most
-        # one slot. The total reshuffle is unbounded in general (rounding
-        # boundaries for several bins can flip at once), so the per-bin bound
-        # is the invariant worth holding.
-        rng = np.random.default_rng(5)
-        for _ in range(100):
-            n = int(rng.integers(4, 30))
-            mu = int(rng.integers(1, n + 1))
-            sigma = float(rng.uniform(0.75, 4.0))
-            size = int(rng.integers(6, 300))
-            current = t.allocate_counts(n, mu, sigma, size).counts
-            _, deltas = t.resize_counts(current, n, mu, sigma, size + 1)
-            assert sum(deltas.values()) == 1
-            assert all(abs(d) == 1 for d in deltas.values())
-            _, deltas = t.resize_counts(current, n, mu, sigma, size - 1)
-            assert sum(deltas.values()) == -1
-            assert all(abs(d) == 1 for d in deltas.values())

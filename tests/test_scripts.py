@@ -17,6 +17,14 @@ def load_script(name):
     return module
 
 
+def write_wine_csv(data_dir):
+    """A synthetic file with the shape of the wine descriptor, as wine.csv."""
+    rng = np.random.default_rng(0)
+    labels = np.repeat([1, 2, 3], [60, 60, 58])
+    features = rng.normal(size=(178, 13)) + labels[:, None] * (np.arange(13) < 3)
+    np.savetxt(data_dir / "wine.csv", np.column_stack([labels, features]), delimiter=",")
+
+
 def test_oracle_parity_refuses_an_infeasible_layout(tmp_path, capsys):
     # Eight features derive a sigma below the degeneracy floor; the script
     # must say so in one line before it starts the exhaustive search.
@@ -53,12 +61,9 @@ def test_campaign_writes_a_report_directory(tmp_path, capsys):
     # The published layouts take minutes per dataset; a 20-member layout on
     # a synthetic wine-shaped file runs the same code path in well under a
     # second, so a renamed report method fails here, not days into a run.
-    rng = np.random.default_rng(0)
-    labels = np.repeat([1, 2, 3], [60, 60, 58])
-    features = rng.normal(size=(178, 13)) + labels[:, None] * (np.arange(13) < 3)
     data_dir = tmp_path / "data"
     data_dir.mkdir()
-    np.savetxt(data_dir / "wine.csv", np.column_stack([labels, features]), delimiter=",")
+    write_wine_csv(data_dir)
     script = load_script("run_campaign")
     script.LAYOUTS = [("wine", 3, 20, (3, 7, 11))]
     out = tmp_path / "campaign"
@@ -71,3 +76,23 @@ def test_campaign_writes_a_report_directory(tmp_path, capsys):
     assert len(report["fingerprint"]) == 64
     for name in ("summary.csv", "trace.csv", "competitions.csv"):
         assert (out / "wine" / name).exists()
+
+
+def test_campaign_checks_every_dataset_before_the_first_run(tmp_path, capsys):
+    # wine is present; australian has no descriptor. Nothing may run or be
+    # written until every selected dataset loads.
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    write_wine_csv(data_dir)
+    script = load_script("run_campaign")
+    script.LAYOUTS = [("wine", 3, 20, (3, 7, 11)), ("australian", 3, 20, (3, 7, 11))]
+    out = tmp_path / "campaign"
+    argv = ["--data-dir", str(data_dir), "--out", str(out), "--runs", "1",
+            "--max-generations", "2"]
+    assert script.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("australian: ")
+    assert not (out / "wine").exists()
