@@ -50,11 +50,17 @@ class Individual:
     count: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        mask = np.ascontiguousarray(self.mask, dtype=np.uint8)
+        mask = np.asarray(self.mask)
         if mask.ndim != 1 or mask.size == 0:
             raise ValueError("mask must be a non-empty 1-D bit vector")
-        if mask.max() > 1:
+        # Checked before the cast, which would turn 0.6 into 0 and 257 into 1.
+        if (
+            mask.max() > 1
+            if mask.dtype == np.uint8
+            else not np.isin(mask, (0, 1)).all()
+        ):
             raise ValueError("mask entries must be 0 or 1")
+        mask = np.ascontiguousarray(mask, dtype=np.uint8)
         count = int(np.count_nonzero(mask))
         if count == 0:
             raise ValueError("the empty feature subset is not admissible")

@@ -5,13 +5,14 @@ classifier trained on just its selected columns, under a stratified k-fold
 plan that is fixed once per run. Features are standardized per fold from
 training statistics only. The linear SVM's pair machines minimize the
 squared-hinge primal exactly with a finite Newton method, and all folds'
-pair machines of one mask are solved together in one batch. Everything
-about the folds that does not depend on the mask (their rows, per-column
-statistics and pair layout) is prepared once by :func:`make_evaluator`, so
-scoring a mask is one gather of its columns, one batched solve and one
-vectorized vote per fold. Everything is deterministic given the dataset,
-the mask, and the protocol, which is what makes the subset-keyed fitness
-cache sound.
+pair machines of one mask are solved together in one batch: one method,
+:meth:`_PairLayout.fit`, builds that pair stack and solves it, for the
+evaluator and for :func:`train_linear_svm` alike. Everything about the
+folds that does not depend on the mask (their rows, per-column statistics
+and pair layout) is prepared once by :func:`make_evaluator`, so scoring a
+mask is one gather of its columns, one batched solve and one vectorized
+vote per fold. Everything is deterministic given the dataset, the mask,
+and the protocol, which is what makes the subset-keyed fitness cache sound.
 """
 
 from __future__ import annotations
@@ -19,12 +20,12 @@ from __future__ import annotations
 import itertools
 import threading
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import Individual
-from .data import Dataset, FoldPlan, stratified_folds
+from .data import Dataset, stratified_folds
 
 __all__ = [
     "CLASSIFIER_KINDS",
@@ -230,17 +231,51 @@ def _solve_squared_hinge(
 class _PairLayout:
     """Where the rows of every pair machine of some training sets come from.
 
-    It depends on the labels alone. Machine p takes the rows ``rows[p]`` of
-    the training sets' concatenation, in order, zero-padded to the longest
-    machine: ``signs`` is +1 for the pair's first class, -1 for its second
-    and 0 on padding, ``bias`` is 1 on real rows and 0 on padding. ``models``
-    holds each training set's (classes, pairs), in the order of its machines.
+    It depends on the labels alone. Machine p takes the rows ``rows[p]``, in
+    order, zero-padded to the longest machine: ``signs`` is +1 for the
+    pair's first class, -1 for its second and 0 on padding. ``models`` holds
+    each training set's (classes, pairs), in the order of its machines.
+    :func:`_pair_layout` numbers the rows in the training sets'
+    concatenation; the evaluator maps them to dataset rows once.
     """
 
     rows: np.ndarray  # (B, n) int
     signs: np.ndarray  # (B, n)
-    bias: np.ndarray  # (B, n)
     models: tuple[tuple[np.ndarray, tuple[tuple[int, int], ...]], ...]
+
+    def fit(
+        self, X: np.ndarray, center, scale, C: float, max_iter: int
+    ) -> list[LinearSVM]:
+        """Train every machine on its standardized rows of ``X`` in one solve.
+
+        The solver's (B, n, d + 1) stack is built in place: each machine's
+        rows of ``X`` are gathered into it, standardized with ``center`` and
+        ``scale`` (scalars, or (B, 1, d) per machine), given the bias column,
+        and zeroed on padding rows. Returns one LinearSVM per training set.
+        """
+        Z = np.empty(self.rows.shape + (X.shape[1] + 1,))
+        features = Z[..., :-1]
+        features[...] = np.take(X, self.rows, axis=0)
+        features -= center
+        features /= scale
+        Z[self.signs == 0.0] = 0.0  # whatever was gathered for the padding rows
+        np.abs(self.signs, out=Z[..., -1])  # the bias column: 1 on real rows
+        solutions, converged = _solve_squared_hinge(Z, self.signs, C, max_iter)
+        models = []
+        start = 0
+        for classes, pairs in self.models:
+            stop = start + len(pairs)
+            models.append(
+                LinearSVM(
+                    classes=classes,
+                    pairs=pairs,
+                    weights=solutions[start:stop, :-1],
+                    biases=solutions[start:stop, -1],
+                    converged=bool(converged[start:stop].all()),
+                )
+            )
+            start = stop
+        return models
 
 
 def _pair_layout(labels: list[np.ndarray]) -> _PairLayout:
@@ -262,63 +297,12 @@ def _pair_layout(labels: list[np.ndarray]) -> _PairLayout:
     layout = _PairLayout(
         rows=np.zeros(shape, dtype=np.intp),
         signs=np.zeros(shape),
-        bias=np.zeros(shape),
         models=tuple(models),
     )
     for p, (rows, signs) in enumerate(machines):
         layout.rows[p, : rows.size] = rows
         layout.signs[p, : rows.size] = signs
-        layout.bias[p, : rows.size] = 1.0
     return layout
-
-
-def _pair_stack(rows: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """The solver's (B, n, d + 1) stack from each machine's (B, n, d) rows.
-
-    Appends the bias column and zeroes the padding rows, whatever was
-    gathered for them.
-    """
-    Z = np.empty(rows.shape[:-1] + (rows.shape[-1] + 1,))
-    Z[..., :-1] = rows
-    Z[..., -1] = bias
-    Z[bias == 0.0] = 0.0
-    return Z
-
-
-def _solve_pairs(
-    Z: np.ndarray, layout: _PairLayout, C: float, max_iter: int
-) -> list[LinearSVM]:
-    """Solve a layout's pair stack in one batch; one LinearSVM per training set."""
-    solutions, converged = _solve_squared_hinge(Z, layout.signs, C, max_iter)
-    models = []
-    start = 0
-    for classes, pairs in layout.models:
-        stop = start + len(pairs)
-        models.append(
-            LinearSVM(
-                classes=classes,
-                pairs=pairs,
-                weights=solutions[start:stop, :-1],
-                biases=solutions[start:stop, -1],
-                converged=bool(converged[start:stop].all()),
-            )
-        )
-        start = stop
-    return models
-
-
-def _fit_linear_svms(
-    problems: list[tuple[np.ndarray, np.ndarray]], C: float, max_iter: int
-) -> list[LinearSVM]:
-    """Train a one-vs-one LinearSVM on each (X, y), all pair machines in one solve.
-
-    Every X must have the same number of columns. The pair machines of all
-    problems are stacked, zero-padded to the largest pair, into a single
-    batch for ``_solve_squared_hinge``; each model takes its slice back.
-    """
-    layout = _pair_layout([y for _, y in problems])
-    X = np.concatenate([X for X, _ in problems])
-    return _solve_pairs(_pair_stack(X[layout.rows], layout.bias), layout, C, max_iter)
 
 
 def train_linear_svm(
@@ -328,13 +312,13 @@ def train_linear_svm(
 
     Each pair machine minimizes the squared-hinge primal
     0.5 ||w||^2 + C * sum(max(0, 1 - y (Xw + b))^2) exactly, by the batched
-    finite Newton solver that ``kfold_accuracy`` also uses; ``converged`` is
-    False when any pair machine hit ``max_iter`` or stalled. Vote ties
+    finite Newton solver that the fitness evaluator also uses; ``converged``
+    is False when any pair machine hit ``max_iter`` or stalled. Vote ties
     resolve to the lower class index, as does a test point exactly on a
     pair boundary.
     """
     X = np.asarray(X, dtype=np.float64)
-    return _fit_linear_svms([(X, np.asarray(y))], C, max_iter)[0]
+    return _pair_layout([np.asarray(y)]).fit(X, 0.0, 1.0, C, max_iter)[0]
 
 
 class _NearestCentroid:
@@ -387,16 +371,13 @@ def _subsample_rows(
 
 def resolve_mask(mask, n_features: int) -> np.ndarray:
     """Accept an Individual or any 0/1 vector; return a validated mask."""
-    if isinstance(mask, Individual):
-        mask = mask.mask
-    mask = np.ascontiguousarray(mask, dtype=np.uint8)
-    if mask.shape != (n_features,):
+    if not isinstance(mask, Individual):
+        mask = Individual(np.array(mask))  # a copy: an Individual freezes its mask
+    if mask.n_features != n_features:
         raise ValueError(
-            f"mask has shape {mask.shape}, dataset has {n_features} features"
+            f"mask has shape {mask.mask.shape}, dataset has {n_features} features"
         )
-    if not mask.any():
-        raise ValueError("cannot score the empty feature subset")
-    return mask
+    return mask.mask
 
 
 def _stacked(blocks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -407,7 +388,7 @@ def _stacked(blocks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 
 class _PreparedFolds:
-    """Everything about a fold plan that does not depend on the mask.
+    """Everything about the protocol's fold plan that does not depend on the mask.
 
     It keeps each fold's training rows (after ``subsample``) and test rows,
     the training mean and spread of every column per fold and, for the
@@ -419,19 +400,18 @@ class _PreparedFolds:
     with its folds standardized from scratch.
     """
 
-    def __init__(
-        self, dataset: Dataset, protocol: FitnessProtocol, fold_plan: FoldPlan
-    ):
+    def __init__(self, dataset: Dataset, protocol: FitnessProtocol):
+        plan = stratified_folds(dataset, protocol.folds, protocol.fold_seed)
         self.protocol = protocol
         self.instances = dataset.instances
         labels = dataset.labels
-        train = [fold_plan.train_indices(fold) for fold in range(fold_plan.k)]
+        train = [plan.train_indices(fold) for fold in range(plan.k)]
         if protocol.subsample is not None:
             train = [
-                _subsample_rows(rows, labels, protocol.subsample, fold_plan.seed, fold)
+                _subsample_rows(rows, labels, protocol.subsample, plan.seed, fold)
                 for fold, rows in enumerate(train)
             ]
-        test = [fold_plan.test_indices(fold) for fold in range(fold_plan.k)]
+        test = [plan.test_indices(fold) for fold in range(plan.k)]
         stats = [_column_stats(self.instances[rows]) for rows in train]
         self.center = np.stack([center for center, _ in stats])
         self.scale = np.stack([scale for _, scale in stats])
@@ -440,10 +420,10 @@ class _PreparedFolds:
         self.train_labels = np.split(labels[self.train_rows], self.train_cuts)
         self.test_labels = np.split(labels[self.test_rows], self.test_cuts)
         if protocol.classifier == "linear-svm":
-            self.pairs = _pair_layout(self.train_labels)
-            self.pair_rows = self.train_rows[self.pairs.rows]
+            layout = _pair_layout(self.train_labels)
+            self.pairs = replace(layout, rows=self.train_rows[layout.rows])
             machines = [len(pairs) for _, pairs in self.pairs.models]
-            self.pair_folds = np.repeat(np.arange(fold_plan.k), machines)[:, None]
+            self.pair_folds = np.repeat(np.arange(plan.k), machines)[:, None]
 
     def _stats(
         self, X: np.ndarray, columns: np.ndarray
@@ -471,11 +451,10 @@ class _PreparedFolds:
 
         protocol = self.protocol
         if protocol.classifier == "linear-svm":
-            # Unnamed, the gathered rows are freed before the solve starts.
-            Z = _pair_stack(
-                standardized(self.pair_rows, self.pair_folds), self.pairs.bias
+            folds = self.pair_folds
+            models = self.pairs.fit(
+                X, center[folds], scale[folds], protocol.regularization, _MAX_ITER
             )
-            models = _solve_pairs(Z, self.pairs, protocol.regularization, _MAX_ITER)
             if not all(model.converged for model in models):
                 # One constant message: the default filter shows it once per process.
                 warnings.warn(
@@ -502,22 +481,15 @@ class _PreparedFolds:
 
 
 def kfold_accuracy(
-    dataset: Dataset,
-    mask,
-    protocol: FitnessProtocol = FitnessProtocol(),
-    fold_plan: FoldPlan | None = None,
+    dataset: Dataset, mask, protocol: FitnessProtocol = FitnessProtocol()
 ) -> float:
     """Mean cross-validated accuracy (percent) of the masked feature set.
 
-    The fold plan derives from ``protocol.folds`` and ``protocol.fold_seed``
-    unless one is passed in. The folds are prepared for this one mask; to
-    score many, build the fitness function once with :func:`make_evaluator`,
-    which prepares them once and gives every mask the same value.
+    The folds are prepared for this one mask; to score many, build the
+    fitness function once with :func:`make_evaluator`, which prepares them
+    once and gives every mask the same value.
     """
-    mask = resolve_mask(mask, dataset.n_features)
-    if fold_plan is None:
-        fold_plan = stratified_folds(dataset, protocol.folds, protocol.fold_seed)
-    return _PreparedFolds(dataset, protocol, fold_plan).accuracy(mask)
+    return make_evaluator(dataset, protocol)(mask)
 
 
 def make_evaluator(
@@ -533,8 +505,7 @@ def make_evaluator(
     evaluation, and results are memoized in ``cache`` when one is given.
     Evaluation errors propagate and leave no cache entry behind.
     """
-    fold_plan = stratified_folds(dataset, protocol.folds, protocol.fold_seed)
-    folds = _PreparedFolds(dataset, protocol, fold_plan)
+    folds = _PreparedFolds(dataset, protocol)
 
     def evaluate(individual) -> float:
         mask = resolve_mask(individual, dataset.n_features)

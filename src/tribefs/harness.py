@@ -496,6 +496,19 @@ class FriedmanResult:
     n_datasets: int
 
 
+def _scipy_stats():
+    """SciPy's stats, imported on first use: only the significance tests need
+    it, it takes a second to import, and it is the optional ``stats`` extra."""
+    try:
+        from scipy import stats
+    except ModuleNotFoundError as err:
+        raise ModuleNotFoundError(
+            "the significance tests need SciPy: pip install 'tribefs[stats]'",
+            name="scipy",
+        ) from err
+    return stats
+
+
 def friedman_test(matrix) -> FriedmanResult:
     """Friedman test on rows=methods, columns=datasets.
 
@@ -504,7 +517,7 @@ def friedman_test(matrix) -> FriedmanResult:
     referred to the chi-square distribution with ``methods - 1`` degrees of
     freedom.
     """
-    from scipy import stats as scipy_stats  # a second to import; only stats use it
+    scipy_stats = _scipy_stats()
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] < 2 or matrix.shape[1] < 2:
         raise ValueError("need at least 2 methods and 2 datasets")
@@ -540,7 +553,7 @@ class TTestResult:
 
 def paired_t_test(a, b) -> TTestResult:
     """Two-sided paired t-test of accuracy vectors ``a`` and ``b``."""
-    from scipy import stats as scipy_stats  # a second to import; only stats use it
+    scipy_stats = _scipy_stats()
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape or a.ndim != 1:

@@ -254,6 +254,11 @@ class TestStatsCommands:
         assert main(["stats", "friedman", str(path)]) == 1
         assert "non-numeric" in capsys.readouterr().err
 
+    def test_without_scipy_names_the_extra(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setitem(sys.modules, "scipy", None)  # as if not installed
+        assert main(["stats", "friedman", str(self.write_matrix(tmp_path))]) == 2
+        assert "pip install 'tribefs[stats]'" in capsys.readouterr().err
+
     def test_collect_builds_then_extends_matrix(self, blob_csv, tmp_path, capsys):
         out_dir = tmp_path / "report"
         assert main(run_flags(blob_csv, "--out", str(out_dir))) == 0

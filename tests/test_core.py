@@ -39,6 +39,19 @@ class TestIndividual:
         with pytest.raises(ValueError, match="0 or 1"):
             t.Individual(np.array([0, 2, 1], dtype=np.uint8))
 
+    @pytest.mark.parametrize(
+        "mask",
+        [np.array([0.6, 1.0]), np.array([1, 0, 257])],
+        ids=["fraction", "wraps-to-one"],
+    )
+    def test_rejects_values_the_cast_would_hide(self, mask):
+        with pytest.raises(ValueError, match="0 or 1"):
+            t.Individual(mask)
+
+    def test_accepts_any_dtype_holding_bits(self):
+        for mask in ([1, 0, 1], [True, False, True], np.array([1.0, 0.0, 1.0])):
+            assert t.Individual(mask).key() == bytes([1, 0, 1])
+
     def test_rejects_matrix(self):
         with pytest.raises(ValueError):
             t.Individual(np.ones((2, 2), dtype=np.uint8))

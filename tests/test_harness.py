@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -290,6 +291,15 @@ class TestPairedTTest:
             t.paired_t_test([1.0, 2.0], [1.0])
         with pytest.raises(ValueError):
             t.paired_t_test([1.0], [2.0])
+
+
+def test_significance_tests_without_scipy_name_the_extra(monkeypatch):
+    monkeypatch.setitem(sys.modules, "scipy", None)  # as if not installed
+    message = r"pip install 'tribefs\[stats\]'"
+    with pytest.raises(ModuleNotFoundError, match=message):
+        t.friedman_test([[90.0, 80.0], [85.0, 75.0]])
+    with pytest.raises(ModuleNotFoundError, match=message):
+        t.paired_t_test([90.0, 80.0], [85.0, 75.0])
 
 
 class TestPinnedReports:
