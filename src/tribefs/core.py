@@ -37,7 +37,7 @@ CountHistogram = dict[int, int]
 class Individual:
     """One candidate feature subset plus its cached fitness.
 
-    The mask is stored as a read-only uint8 vector so individuals can be
+    The mask is stored as a read-only uint8 copy so individuals can be
     shared freely between tribes and selection draws; operators produce new
     individuals instead of editing masks in place. ``count`` is the number
     of selected features, computed once here; the mask cannot change, so it
@@ -60,7 +60,8 @@ class Individual:
             else not np.isin(mask, (0, 1)).all()
         ):
             raise ValueError("mask entries must be 0 or 1")
-        mask = np.ascontiguousarray(mask, dtype=np.uint8)
+        # A copy, so freezing it below leaves the caller's buffer writable.
+        mask = np.array(mask, dtype=np.uint8)
         count = int(np.count_nonzero(mask))
         if count == 0:
             raise ValueError("the empty feature subset is not admissible")

@@ -15,7 +15,6 @@ import csv
 import hashlib
 import json
 import math
-import urllib.request
 import warnings
 from dataclasses import dataclass, field
 from importlib import resources
@@ -423,7 +422,12 @@ def fetch_dataset(
     descriptors: dict[str, DatasetDescriptor] | None = None,
     force: bool = False,
 ) -> Path:
-    """Download one benchmark into ``data_dir`` and verify it parses as expected."""
+    """Download one benchmark into ``data_dir`` and verify it parses as expected.
+
+    The download lands in ``<filename>.part`` and replaces the destination
+    only once its checksum and shape hold, so a failed fetch leaves nothing
+    behind that a later fetch would mistake for the benchmark.
+    """
     descriptors = descriptors or load_descriptors()
     if name not in descriptors:
         raise DataError(
@@ -433,17 +437,30 @@ def fetch_dataset(
     data_dir = Path(data_dir)
     data_dir.mkdir(parents=True, exist_ok=True)
     dest = data_dir / desc.filename
-    if force or not dest.exists():
-        with urllib.request.urlopen(desc.url) as response:
-            payload = response.read()
-        if desc.sha256 is not None:
-            digest = hashlib.sha256(payload).hexdigest()
-            if digest != desc.sha256:
-                raise DataError(
-                    f"{name}: checksum mismatch (got {digest}, expected {desc.sha256})"
-                )
-        dest.write_bytes(payload)
-    _verify_against_descriptor(dest, desc)
+    if not force and dest.exists():
+        _verify_against_descriptor(dest, desc)
+        return dest
+    # Imported here, not at module level: only a download needs the network
+    # stack (http.client, ssl, email), and every engine process would pay
+    # its memory otherwise.
+    import urllib.request
+
+    with urllib.request.urlopen(desc.url) as response:
+        payload = response.read()
+    if desc.sha256 is not None:
+        digest = hashlib.sha256(payload).hexdigest()
+        if digest != desc.sha256:
+            raise DataError(
+                f"{name}: checksum mismatch (got {digest}, expected {desc.sha256})"
+            )
+    part = dest.with_name(dest.name + ".part")
+    try:
+        part.write_bytes(payload)
+        _verify_against_descriptor(part, desc)
+        part.replace(dest)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
     return dest
 
 

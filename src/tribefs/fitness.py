@@ -372,7 +372,7 @@ def _subsample_rows(
 def resolve_mask(mask, n_features: int) -> np.ndarray:
     """Accept an Individual or any 0/1 vector; return a validated mask."""
     if not isinstance(mask, Individual):
-        mask = Individual(np.array(mask))  # a copy: an Individual freezes its mask
+        mask = Individual(mask)
     if mask.n_features != n_features:
         raise ValueError(
             f"mask has shape {mask.mask.shape}, dataset has {n_features} features"

@@ -22,7 +22,14 @@ import numpy as np
 
 from .competition import CompetitionConfig, CompetitionRecord, apply_competition
 from .core import Individual, Population, best_individual, mask_to_string, rank_key
-from .data import CsvSchema, Dataset, load_csv, load_descriptors, load_named
+from .data import (
+    CsvSchema,
+    DataError,
+    Dataset,
+    load_csv,
+    load_descriptors,
+    load_named,
+)
 from .evolution import EvolutionConfig, evolve_generation
 from .fitness import FitnessCache, FitnessProtocol, make_evaluator
 from .genesis import init_population
@@ -295,10 +302,13 @@ def _plain(value):
 def resolve_dataset(config: RunConfig) -> Dataset:
     """Turn the config's dataset reference into a loaded dataset.
 
-    Descriptor names resolve under ``data_dir``; anything else must be a CSV
-    path. A bare CSV loads with the default schema (no header, label last),
-    except files in this package's own export format, recognized by their
-    trailing ``class`` header cell, which load with their header.
+    Descriptor names resolve under ``data_dir``. Any other reference is a
+    CSV path only if it has a directory part or a suffix (``./australian``,
+    ``australian.csv``); a bare unknown name is an error, so a misspelled
+    benchmark never loads a stray file from the working directory. A CSV
+    loads with the default schema (no header, label last), except files in
+    this package's own export format, recognized by their trailing
+    ``class`` header cell, which load with their header.
     """
     if config.dataset is None:
         raise ConfigError("config names no dataset")
@@ -306,6 +316,12 @@ def resolve_dataset(config: RunConfig) -> Dataset:
     if config.dataset in descriptors:
         return load_named(config.dataset, config.data_dir, descriptors)
     path = Path(config.dataset)
+    if path.name == config.dataset and not path.suffix:
+        raise DataError(
+            f"unknown dataset {config.dataset!r}; known: "
+            f"{', '.join(sorted(descriptors))}; "
+            f"to load a file of that name, pass './{config.dataset}'"
+        )
     if not path.exists():
         raise FileNotFoundError(
             f"{config.dataset!r} is neither a known dataset name nor a file"

@@ -158,6 +158,25 @@ def test_import_loads_no_scipy():
     assert done.stdout.strip() == "[]"
 
 
+def test_import_loads_no_network_stack():
+    # Only fetch_dataset downloads, and it imports urllib.request when called.
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import sys, tribefs, tribefs.cli; "
+        "print(sorted(m for m in ('urllib.request', 'http.client', 'ssl', 'email') "
+        "if m in sys.modules))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    assert done.stdout.strip() == "[]"
+
+
 class TestSweepCommand:
     def test_interval_sweep(self, blob_csv, tmp_path, capsys):
         out = tmp_path / "sweep"

@@ -27,6 +27,13 @@ class TestIndividual:
         with pytest.raises(ValueError):
             ind.mask[0] = 0
 
+    def test_leaves_callers_buffer_writable(self):
+        buf = np.array([1, 0, 1], dtype=np.uint8)
+        ind = t.Individual(buf)
+        assert buf.flags.writeable
+        buf[1] = 1
+        assert ind.mask.tolist() == [1, 0, 1]
+
     def test_rejects_empty_subset(self):
         with pytest.raises(ValueError, match="empty"):
             t.Individual(np.zeros(5, dtype=np.uint8))

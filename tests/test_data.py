@@ -254,6 +254,21 @@ class TestDescriptors:
         with pytest.raises(t.DataError, match="99"):
             t.fetch_dataset("toy", tmp_path / "data", descriptors)
 
+    def test_failed_fetch_leaves_no_file(self, tmp_path):
+        source = write(tmp_path, BASIC, name="source.csv")
+        path = tmp_path / "descriptors.json"
+        entry = {"url": source.as_uri(), "filename": "toy.csv",
+                 "expected_features": 99, "expected_instances": 4}
+        path.write_text(json.dumps({"toy": entry}))
+        data_dir = tmp_path / "data"
+        with pytest.raises(t.DataError, match="99"):
+            t.fetch_dataset("toy", data_dir, t.load_descriptors(path))
+        assert list(data_dir.iterdir()) == []
+        # So the next fetch downloads again instead of trusting a bad file.
+        path.write_text(json.dumps({"toy": {**entry, "expected_features": 3}}))
+        dest = t.fetch_dataset("toy", data_dir, t.load_descriptors(path))
+        assert sorted(data_dir.iterdir()) == [dest]
+
     def test_fetch_verifies_checksum(self, tmp_path):
         source = write(tmp_path, BASIC, name="source.csv")
         path = tmp_path / "descriptors.json"

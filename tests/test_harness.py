@@ -170,6 +170,15 @@ class TestRunExperiment:
         with pytest.raises(FileNotFoundError, match="neither a known dataset name"):
             t.run_experiment(config)
 
+    def test_bare_unknown_name_is_not_a_path(self, tmp_path, monkeypatch, small_dataset):
+        # A stray file named like a benchmark must not load by accident.
+        t.write_csv(small_dataset, tmp_path / "australian")
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(t.DataError, match=r"unknown dataset.*'\./australian'"):
+            t.run_experiment(tiny_config(dataset="australian", runs=1))
+        report = t.run_experiment(tiny_config(dataset="./australian", runs=1, folds=2))
+        assert report.n_features == 10
+
 
 class TestReportSerialization:
     def test_save_writes_report_json_with_fingerprint(self, tmp_path, small_dataset):
