@@ -1,12 +1,13 @@
 """Intra-tribe generation step.
 
 Every operator here preserves the tribe's selected-count histogram exactly:
-selection resamples individuals, crossover children inherit their own
+selection resamples individuals, a crossover child inherits its first
 parent's cardinality via a union-and-repair construction, and mutation only
 moves an individual between adjacent cardinality classes by simultaneously
-moving a partner the opposite way. A generation is rank selection, matched
-crossover, paired mutation, evaluation, and elitist inheritance, in that
-order.
+moving a partner the opposite way. Crossover builds only the child it keeps
+but still takes the mirror child's repair draw, so the random stream is
+that of building both. A generation is rank selection, matched crossover,
+paired mutation, evaluation, and elitist inheritance, in that order.
 """
 
 from __future__ import annotations
@@ -95,59 +96,54 @@ def count_preserving_crossover(
     parent_j: Individual,
     cut_i: int,
     rng: np.random.Generator,
-) -> tuple[Individual, Individual]:
-    """Single-point crossover that keeps each child at its parent's cardinality.
+) -> Individual:
+    """Single-point crossover child that keeps ``parent_i``'s cardinality.
 
     The cut in the second parent is not free: it is the shortest prefix of
     ``parent_j`` containing exactly as many set bits as ``parent_i`` has
-    before ``cut_i``. Each child is the union of the other parent's prefix
-    with its own parent's suffix; positions present in both halves collapse,
-    so any deficit is repaired by setting uniformly chosen unset bits until
-    the child's count matches its parent's again.
+    before ``cut_i``. The child is the union of ``parent_j``'s prefix with
+    ``parent_i``'s suffix; positions present in both halves collapse, so
+    any deficit is repaired by setting uniformly chosen unset bits until the
+    child's count matches its parent's again.
 
-    Raises :class:`CrossoverAlignmentError` when ``parent_j`` has fewer set
-    bits in total than the required prefix count. Parents of equal
-    cardinality, the only ones :func:`evolve_generation` pairs, always align.
+    The mirror child (``parent_i``'s prefix with ``parent_j``'s suffix) is
+    not built, but its repair draw is still taken, so the generator's stream
+    is that of building both. Call the bits both parents set between the
+    two cuts "doubled": the child whose halves overlap there loses them.
+    That is this child when ``cut_i`` is the lower cut, and the mirror child
+    otherwise, which would then choose its ``doubled`` bits among
+    ``n - count_j + doubled`` unset ones.
+
+    Raises :class:`CrossoverAlignmentError`, before any draw, when
+    ``parent_j`` has fewer set bits in total than the required prefix count.
+    Parents of equal cardinality, the only ones :func:`evolve_generation`
+    pairs, always align.
     """
     n = parent_i.n_features
     if parent_j.n_features != n:
         raise ValueError("parents must share one feature count")
     if not 1 <= cut_i <= n - 1:
         raise ValueError(f"cut must lie in [1, {n - 1}]")
-    prefix_count = int(parent_i.mask[:cut_i].sum())
-    if prefix_count == 0:
-        cut_j = 0
-    else:
-        cumulative = np.cumsum(parent_j.mask)
-        if int(cumulative[-1]) < prefix_count:
-            raise CrossoverAlignmentError(
-                f"second parent holds {int(cumulative[-1])} set bits, "
-                f"fewer than the required prefix count {prefix_count}"
-            )
-        cut_j = int(np.searchsorted(cumulative, prefix_count, side="left")) + 1
-    child_i = _splice(parent_j.mask, cut_j, parent_i.mask, cut_i)
-    child_j = _splice(parent_i.mask, cut_i, parent_j.mask, cut_j)
-    _repair(child_i, count_selected(parent_i), rng)
-    _repair(child_j, count_selected(parent_j), rng)
-    return Individual(child_i), Individual(child_j)
-
-
-def _splice(
-    prefix_mask: np.ndarray, prefix_cut: int, suffix_mask: np.ndarray, suffix_cut: int
-) -> np.ndarray:
-    """Union of one parent's prefix with the other parent's suffix."""
-    child = np.zeros(prefix_mask.size, dtype=np.uint8)
-    child[:prefix_cut] = prefix_mask[:prefix_cut]
-    np.maximum(child[suffix_cut:], suffix_mask[suffix_cut:], out=child[suffix_cut:])
-    return child
-
-
-def _repair(mask: np.ndarray, target: int, rng: np.random.Generator) -> None:
-    """Set uniformly chosen unset bits until popcount reaches the target."""
-    deficit = target - int(mask.sum())
-    if deficit > 0:
-        unset = np.flatnonzero(mask == 0)
-        mask[rng.choice(unset, size=deficit, replace=False)] = 1
+    mask_i, mask_j = parent_i.mask, parent_j.mask
+    prefix_count = int(np.count_nonzero(mask_i[:cut_i]))
+    if prefix_count > parent_j.count:
+        raise CrossoverAlignmentError(
+            f"second parent holds {parent_j.count} set bits, "
+            f"fewer than the required prefix count {prefix_count}"
+        )
+    # Just past parent_j's prefix_count-th set bit.
+    cut_j = int(np.flatnonzero(mask_j)[prefix_count - 1]) + 1 if prefix_count else 0
+    low, high = sorted((cut_i, cut_j))
+    doubled = int(np.count_nonzero(mask_i[low:high] & mask_j[low:high]))
+    child = np.zeros(n, dtype=np.uint8)
+    child[:cut_j] = mask_j[:cut_j]
+    child[cut_i:] |= mask_i[cut_i:]
+    if doubled and cut_i < cut_j:
+        unset = np.flatnonzero(child == 0)
+        child[rng.choice(unset, size=doubled, replace=False)] = 1
+    elif doubled:
+        rng.choice(n - parent_j.count + doubled, size=doubled, replace=False)
+    return Individual(child)
 
 
 def paired_mutation(
@@ -214,12 +210,13 @@ def evolve_generation(
     Rank selection draws a pool of partners; each slot of the tribe is then
     matched with a not-yet-consumed partner of the same cardinality (slots in
     index order, partners in draw order). A matched slot is replaced either
-    by its crossover child with the partner (probability ``crossover_rate``)
-    or by the partner itself; unmatched slots keep their current individual.
-    Paired mutation follows, new individuals are evaluated with
-    ``fitness_fn``, and finally the previous generation's best individual
-    replaces the weakest individual of its own cardinality class, so the
-    best fitness never decreases and the histogram never changes.
+    by its crossover child with the partner, which keeps the slot's own
+    cardinality (probability ``crossover_rate``), or by the partner itself;
+    unmatched slots keep their current individual. Paired mutation follows,
+    new individuals are evaluated with ``fitness_fn``, and finally the
+    previous generation's best individual replaces the weakest individual of
+    its own cardinality class, so the best fitness never decreases and the
+    histogram never changes.
     """
     previous_best = tribe.individuals[best_index(tribe)]
     n_features = tribe.n_features
@@ -238,7 +235,7 @@ def evolve_generation(
         if n_features >= 2 and rng.random() < config.crossover_rate:
             # Partners share the slot's cardinality, so the cut always aligns.
             cut = int(rng.integers(1, n_features))
-            successors[i], _ = count_preserving_crossover(original, partner, cut, rng)
+            successors[i] = count_preserving_crossover(original, partner, cut, rng)
         else:
             successors[i] = partner
 

@@ -278,12 +278,25 @@ class _PairLayout:
         return models
 
 
+def _classes(y: np.ndarray) -> np.ndarray:
+    """The distinct labels in ascending order, as ``np.unique`` returns them.
+
+    A sort and a neighbour comparison: ``np.unique`` asks ``numpy.ma``
+    whether its input is masked (NumPy 2.4), which would load that module
+    into every process on its first evaluation.
+    """
+    ordered = np.sort(y)
+    first = np.ones(ordered.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return ordered[first]
+
+
 def _pair_layout(labels: list[np.ndarray]) -> _PairLayout:
     machines = []  # (rows in the concatenation, signed labels)
     models = []
     offset = 0
     for y in labels:
-        classes = np.unique(y)
+        classes = _classes(y)
         if classes.size < 2:
             raise ValueError("training data must contain at least two classes")
         pairs = tuple(itertools.combinations(range(classes.size), 2))
@@ -323,7 +336,7 @@ def train_linear_svm(
 
 class _NearestCentroid:
     def __init__(self, X, y):
-        self.classes = np.unique(y)
+        self.classes = _classes(y)
         self.centroids = np.stack([X[y == c].mean(axis=0) for c in self.classes])
 
     def predict(self, X):
@@ -362,7 +375,7 @@ def _subsample_rows(
 ) -> np.ndarray:
     rng = np.random.default_rng([fold_seed, fold])
     kept = []
-    for c in np.unique(labels[train_idx]):
+    for c in _classes(labels[train_idx]):
         members = train_idx[labels[train_idx] == c]
         take = max(1, int(round(fraction * members.size)))
         kept.append(rng.choice(members, size=take, replace=False))

