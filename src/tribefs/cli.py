@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import mask_to_string
 from .data import DataError, fetch_dataset, load_descriptors
-from .fitness import CLASSIFIER_KINDS
+from .fitness import CLASSIFIER_KINDS, FitnessProtocol
 from .harness import (
     SWEEPABLE,
     ConfigError,
@@ -76,12 +76,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_cmd.set_defaults(handler=_cmd_sweep)
 
     oracle = commands.add_parser("oracle", help="exhaustive subset search")
-    oracle.add_argument("--dataset", required=True, help="descriptor name or CSV path")
-    oracle.add_argument("--data-dir", default="data")
-    oracle.add_argument("--classifier", choices=CLASSIFIER_KINDS)
-    oracle.add_argument("--folds", type=int)
-    oracle.add_argument("--fold-seed", type=int)
-    oracle.add_argument("--regularization", type=float)
+    protocol_fields = [field.name for field in dataclasses.fields(FitnessProtocol)]
+    _add_experiment_arguments(oracle, ["dataset", "data_dir", *protocol_fields])
     oracle.add_argument(
         "--max-features",
         type=int,
@@ -128,47 +124,50 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_experiment_arguments(parser: argparse.ArgumentParser) -> None:
-    # Every RunConfig field has a flag whose dest is the field's name.
-    parser.add_argument("--dataset", help="descriptor name or CSV path")
-    parser.add_argument("--data-dir")
+# Flag settings by the first member of a field's annotation ("int | None"
+# is int); the other fields, ``means`` among them, take text.
+_FLAG_KINDS = {
+    "int": {"type": int},
+    "float": {"type": float},
+    "bool": {"action": "store_const", "const": True},
+}
+# What a flag needs beyond its field's name and annotation.
+_FLAG_OPTIONS = {
+    "dataset": {"help": "descriptor name or CSV path"},
+    "means": {"help": "comma-separated tribe means, e.g. 2,5,8"},
+    "allow_infeasible": {"help": "run even when the plan fails validation"},
+    "classifier": {"choices": CLASSIFIER_KINDS},
+    "stake": {"help": "individuals a contest moves from loser to winner"},
+}
+_FLAG_ALIASES = {"max_generations": ("--generations",)}
+
+
+def _add_experiment_arguments(
+    parser: argparse.ArgumentParser, names: list[str] | None = None
+) -> None:
+    """``--config`` and a flag for each RunConfig field, or each one in ``names``.
+
+    A flag's dest is its field's name and it is None when not given.
+    """
     parser.add_argument("--config", help="JSON config file; flags override its keys")
-    parser.add_argument("--tribe-size", type=int)
-    parser.add_argument("--n-tribes", type=int)
-    parser.add_argument("--means", help="comma-separated tribe means, e.g. 2,5,8")
-    parser.add_argument("--sigma", type=float)
-    parser.add_argument(
-        "--allow-infeasible",
-        action="store_const",
-        const=True,
-        help="run even when the plan fails validation",
-    )
-    parser.add_argument("--classifier", choices=CLASSIFIER_KINDS)
-    parser.add_argument("--folds", type=int)
-    parser.add_argument("--fold-seed", type=int)
-    parser.add_argument("--regularization", type=float)
-    parser.add_argument("--subsample", type=float)
-    parser.add_argument("--crossover-rate", type=float)
-    parser.add_argument("--mutation-rate", type=float)
-    parser.add_argument("--selection-pressure", type=float)
-    parser.add_argument("--competition-interval", type=int)
-    parser.add_argument(
-        "--stake", type=int, help="individuals a contest moves from loser to winner"
-    )
-    parser.add_argument("--min-tribe-size", type=int)
-    parser.add_argument(
-        "--max-generations", "--generations", dest="max_generations", type=int
-    )
-    parser.add_argument("--patience", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--runs", type=int)
+    for field in dataclasses.fields(RunConfig):
+        if names is None or field.name in names:
+            parser.add_argument(
+                "--" + field.name.replace("_", "-"),
+                *_FLAG_ALIASES.get(field.name, ()),
+                dest=field.name,
+                **_FLAG_KINDS.get(field.type.split(" |")[0], {}),
+                **_FLAG_OPTIONS.get(field.name, {}),
+            )
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     """The ``--config`` file's RunConfig, if any, overridden by the flags given."""
     merged: dict = {}
-    if getattr(args, "config", None):
-        merged.update(json.loads(Path(args.config).read_text()))
+    if args.config:
+        merged = json.loads(Path(args.config).read_text())
+        if not isinstance(merged, dict):
+            raise ConfigError(f"{args.config}: expected a JSON object of config keys")
     for field in dataclasses.fields(RunConfig):
         value = getattr(args, field.name, None)
         if value is None:
@@ -309,16 +308,17 @@ def _cmd_collect(args: argparse.Namespace) -> int:
         names.append(payload["dataset_name"])
         accuracies.append(float(payload["accuracy_mean"]))
     out = Path(args.out)
+    rows = []
     if out.exists():
         with open(out, newline="") as handle:
             rows = list(csv.reader(handle))
-        if rows and rows[0][1:] != names:
-            raise DataError(
-                f"{out}: existing matrix covers datasets {rows[0][1:]}, "
-                f"these reports cover {names}"
-            )
-    else:
+    if not rows:  # a new or empty file starts a new matrix
         rows = [["method", *names]]
+    elif rows[0][1:] != names:
+        raise DataError(
+            f"{out}: existing matrix covers datasets {rows[0][1:]}, "
+            f"these reports cover {names}"
+        )
     rows.append([args.method, *[f"{a:.6f}" for a in accuracies]])
     with open(out, "w", newline="") as handle:
         csv.writer(handle).writerows(rows)

@@ -16,7 +16,7 @@ import hashlib
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
@@ -285,14 +285,27 @@ def _encode_column(
     return np.array(out, dtype=np.float64), imputed
 
 
+# write_csv's format: a header row whose last cell names the label column.
+_EXPORT_SCHEMA = CsvSchema(label_column="class", header=True)
+
+
 def write_csv(dataset: Dataset, path) -> None:
-    """Write a dataset with a header; loading it back reproduces the arrays."""
+    """Write a dataset in the export format; loading it back reproduces the arrays."""
     path = Path(path)
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow([*dataset.feature_names, "class"])
+        writer.writerow([*dataset.feature_names, _EXPORT_SCHEMA.label_column])
         for row, label in zip(dataset.instances, dataset.labels):
             writer.writerow([repr(float(v)) for v in row] + [dataset.class_names[label]])
+
+
+def sniff_schema(path) -> CsvSchema:
+    """Export schema if the first row ends in ``class``, else the default schema."""
+    with open(path, newline="") as handle:
+        first = next(csv.reader(handle), None)
+    if first and first[-1].strip() == _EXPORT_SCHEMA.label_column:
+        return _EXPORT_SCHEMA
+    return CsvSchema()
 
 
 def dataset_from_arrays(name: str, X, y, feature_names=None) -> Dataset:
@@ -366,41 +379,23 @@ class DatasetDescriptor:
 
     @classmethod
     def from_json(cls, name: str, raw: dict) -> "DatasetDescriptor":
-        known = {
-            "title",
-            "url",
-            "filename",
-            "label_column",
-            "delimiter",
-            "header",
-            "drop_columns",
-            "missing_values",
-            "impute",
-            "expected_features",
-            "expected_instances",
-            "sha256",
-        }
-        unknown = set(raw) - known
+        """Read one entry; its keys are CsvSchema's fields and this class's own."""
+        schema_fields = {f.name: f for f in fields(CsvSchema)}
+        own = {f.name: f for f in fields(cls) if f.name not in ("name", "schema")}
+        unknown = set(raw) - set(schema_fields) - set(own)
         if unknown:
             raise DataError(f"descriptor {name}: unknown keys {sorted(unknown)}")
-        schema = CsvSchema(
-            label_column=raw.get("label_column", -1),
-            delimiter=raw.get("delimiter", ","),
-            header=raw.get("header", False),
-            drop_columns=tuple(raw.get("drop_columns", ())),
-            missing_values=tuple(raw.get("missing_values", MISSING_MARKERS)),
-            impute=raw.get("impute", False),
-        )
-        return cls(
-            name=name,
-            title=raw.get("title", name),
-            url=raw["url"],
-            filename=raw.get("filename", f"{name}.csv"),
-            schema=schema,
-            expected_features=raw["expected_features"],
-            expected_instances=raw["expected_instances"],
-            sha256=raw.get("sha256"),
-        )
+        values = {"title": name, "filename": f"{name}.csv"}
+        values.update((key, raw[key]) for key in own if key in raw)
+        missing = [k for k, f in own.items() if f.default is MISSING and k not in values]
+        if missing:
+            raise DataError(f"descriptor {name}: missing keys {missing}")
+        schema = CsvSchema(**{
+            key: tuple(raw[key]) if isinstance(f.default, tuple) else raw[key]
+            for key, f in schema_fields.items()
+            if key in raw
+        })
+        return cls(name=name, schema=schema, **values)
 
 
 def load_descriptors(path=None) -> dict[str, DatasetDescriptor]:
@@ -416,6 +411,15 @@ def load_descriptors(path=None) -> dict[str, DatasetDescriptor]:
     }
 
 
+def _descriptor(name: str, descriptors: dict | None) -> DatasetDescriptor:
+    """``name``'s entry in ``descriptors`` (the bundled table by default)."""
+    descriptors = descriptors or load_descriptors()
+    if name not in descriptors:
+        known = ", ".join(sorted(descriptors))
+        raise DataError(f"unknown dataset {name!r}; known: {known}")
+    return descriptors[name]
+
+
 def fetch_dataset(
     name: str,
     data_dir,
@@ -428,12 +432,7 @@ def fetch_dataset(
     only once its checksum and shape hold, so a failed fetch leaves nothing
     behind that a later fetch would mistake for the benchmark.
     """
-    descriptors = descriptors or load_descriptors()
-    if name not in descriptors:
-        raise DataError(
-            f"unknown dataset {name!r}; known: {', '.join(sorted(descriptors))}"
-        )
-    desc = descriptors[name]
+    desc = _descriptor(name, descriptors)
     data_dir = Path(data_dir)
     data_dir.mkdir(parents=True, exist_ok=True)
     dest = data_dir / desc.filename
@@ -470,12 +469,7 @@ def load_named(
     descriptors: dict[str, DatasetDescriptor] | None = None,
 ) -> Dataset:
     """Load a previously fetched benchmark by descriptor name."""
-    descriptors = descriptors or load_descriptors()
-    if name not in descriptors:
-        raise DataError(
-            f"unknown dataset {name!r}; known: {', '.join(sorted(descriptors))}"
-        )
-    desc = descriptors[name]
+    desc = _descriptor(name, descriptors)
     path = Path(data_dir) / desc.filename
     if not path.exists():
         raise FileNotFoundError(

@@ -23,12 +23,12 @@ import numpy as np
 from .competition import CompetitionConfig, CompetitionRecord, apply_competition
 from .core import Individual, Population, best_individual, mask_to_string, rank_key
 from .data import (
-    CsvSchema,
     DataError,
     Dataset,
     load_csv,
     load_descriptors,
     load_named,
+    sniff_schema,
 )
 from .evolution import EvolutionConfig, evolve_generation
 from .fitness import FitnessCache, FitnessProtocol, make_evaluator
@@ -306,9 +306,7 @@ def resolve_dataset(config: RunConfig) -> Dataset:
     CSV path only if it has a directory part or a suffix (``./australian``,
     ``australian.csv``); a bare unknown name is an error, so a misspelled
     benchmark never loads a stray file from the working directory. A CSV
-    loads with the default schema (no header, label last), except files in
-    this package's own export format, recognized by their trailing
-    ``class`` header cell, which load with their header.
+    loads with the schema :func:`~tribefs.data.sniff_schema` picks for it.
     """
     if config.dataset is None:
         raise ConfigError("config names no dataset")
@@ -326,11 +324,7 @@ def resolve_dataset(config: RunConfig) -> Dataset:
         raise FileNotFoundError(
             f"{config.dataset!r} is neither a known dataset name nor a file"
         )
-    with open(path, newline="") as handle:
-        first = next(csv.reader(handle), None)
-    if first and first[-1].strip() == "class":
-        return load_csv(path, CsvSchema(label_column="class", header=True))
-    return load_csv(path)
+    return load_csv(path, sniff_schema(path))
 
 
 def run_experiment(config: RunConfig, dataset: Dataset | None = None) -> RunReport:

@@ -80,11 +80,22 @@ class TestRunCommand:
         assert main(run_flags(blob_csv, "--crossover-rate", "1.5")) == 1
         assert "crossover_rate" in capsys.readouterr().err
 
+    def test_bad_means_exits_one(self, blob_csv, capsys):
+        assert main(run_flags(blob_csv, "--means", "2,a")) == 1
+        assert "--means expects comma-separated integers" in capsys.readouterr().err
+
     def test_malformed_config_json_exits_one(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"
         config_path.write_text("{not json")
         assert main(["run", "--config", str(config_path)]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "5", "null", '"blobs.csv"'])
+    def test_config_json_that_is_not_an_object_exits_one(self, tmp_path, capsys, text):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(text)
+        assert main(["run", "--config", str(config_path)]) == 1
+        assert "expected a JSON object" in capsys.readouterr().err
 
     def test_stake_moves_that_many_individuals(self, blob_csv, tmp_path):
         out = tmp_path / "out"
@@ -123,12 +134,9 @@ FLAG_VALUES = {
 }
 
 
-def test_every_run_config_field_has_a_run_flag():
-    assert set(FLAG_VALUES) == {f.name for f in dataclasses.fields(t.RunConfig)}
-    default = t.RunConfig()
-    argv = ["run"]
-    for name, value in FLAG_VALUES.items():
-        assert value != getattr(default, name), name
+def flag_argv(values: dict) -> list[str]:
+    argv = []
+    for name, value in values.items():
         flag = "--" + name.replace("_", "-")
         if value is True:
             argv.append(flag)
@@ -136,8 +144,36 @@ def test_every_run_config_field_has_a_run_flag():
             argv += [flag, ",".join(map(str, value))]
         else:
             argv += [flag, str(value)]
-    config = _config_from_args(_build_parser().parse_args(argv))
-    assert config == t.RunConfig(**FLAG_VALUES)
+    return argv
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["run"], ["sweep", "--param", "n_tribes", "--values", "2,3"]],
+    ids=["run", "sweep"],
+)
+def test_every_run_config_field_has_a_run_flag(command):
+    assert set(FLAG_VALUES) == {f.name for f in dataclasses.fields(t.RunConfig)}
+    default = t.RunConfig()
+    for name, value in FLAG_VALUES.items():
+        assert value != getattr(default, name), name
+    args = _build_parser().parse_args([*command, *flag_argv(FLAG_VALUES)])
+    assert _config_from_args(args) == t.RunConfig(**FLAG_VALUES)
+
+
+def test_generations_is_an_alias_of_max_generations():
+    args = _build_parser().parse_args(["run", "--generations", "7"])
+    assert _config_from_args(args).max_generations == 7
+
+
+def test_oracle_has_a_flag_for_every_protocol_field():
+    fields = dataclasses.fields(t.FitnessProtocol)
+    protocol = {f.name: FLAG_VALUES[f.name] for f in fields}
+    values = {"dataset": "blobs.csv", "data_dir": "elsewhere", **protocol}
+    args = _build_parser().parse_args(["oracle", *flag_argv(values)])
+    config = _config_from_args(args)
+    assert config == t.RunConfig(**values)
+    assert config.protocol() == t.FitnessProtocol(**protocol)
 
 
 def test_import_loads_no_scipy():
@@ -227,6 +263,31 @@ class TestOracleCommand:
         assert main(["oracle", "--dataset", str(path), "--regularization", "-1"]) == 1
         assert "regularization" in capsys.readouterr().err
 
+    def test_config_and_subsample_set_the_protocol(self, tmp_path, capsys):
+        dataset = make_blobs(n_per_class=12, n_features=4, seed=5)
+        path = tmp_path / "tiny.csv"
+        t.write_csv(dataset, path)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({
+            "dataset": str(path), "classifier": "nearest-centroid", "folds": 3,
+        }))
+        out = tmp_path / "oracle.json"
+        code = main([
+            "oracle", "--config", str(config_path), "--subsample", "0.5",
+            "--out", str(out),
+        ])
+        assert code == 0
+        payload = json.loads(out.read_text())
+        full = t.FitnessProtocol(classifier="nearest-centroid", folds=3)
+        half = dataclasses.replace(full, subsample=0.5)
+        mask = t.mask_from_string(payload["best_mask"])
+        assert payload["best_accuracy"] == t.kfold_accuracy(dataset, mask, half)
+        assert payload["best_accuracy"] != t.kfold_accuracy(dataset, mask, full)
+
+    def test_missing_dataset_exits_one(self, capsys):
+        assert main(["oracle", "--folds", "3"]) == 1
+        assert "config names no dataset" in capsys.readouterr().err
+
     def test_oracle_refusal_exits_one(self, tmp_path, capsys):
         dataset = make_blobs(n_per_class=3, n_features=22, seed=3)
         path = tmp_path / "wide.csv"
@@ -292,6 +353,19 @@ class TestStatsCommands:
         rows = matrix.read_text().splitlines()
         assert rows[0] == "method,blobs"
         assert len(rows) == 3
+
+    def test_collect_into_an_empty_file_starts_a_matrix(self, blob_csv, tmp_path):
+        out_dir = tmp_path / "report"
+        assert main(run_flags(blob_csv, "--out", str(out_dir))) == 0
+        matrix = tmp_path / "matrix.csv"
+        matrix.write_text("")
+        assert main([
+            "stats", "collect", str(out_dir / "report.json"),
+            "--method", "engine", "--out", str(matrix),
+        ]) == 0
+        rows = matrix.read_text().splitlines()
+        assert rows[0] == "method,blobs"
+        assert rows[1].startswith("engine,")
 
     def test_collect_rejects_mismatched_datasets(self, blob_csv, tmp_path, capsys):
         out_dir = tmp_path / "report"

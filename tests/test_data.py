@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import tribefs as t
+from tribefs.data import sniff_schema
 
 from conftest import make_blobs
 
@@ -140,6 +141,17 @@ class TestRoundTrip:
         assert loaded.class_names == blob_dataset.class_names
 
 
+class TestSniffSchema:
+    def test_export_format_reads_with_its_header(self, tmp_path, blob_dataset):
+        path = tmp_path / "blobs.csv"
+        t.write_csv(blob_dataset, path)
+        assert sniff_schema(path) == t.CsvSchema(label_column="class", header=True)
+
+    def test_other_files_take_the_default_schema(self, tmp_path):
+        assert sniff_schema(write(tmp_path, BASIC)) == t.CsvSchema()
+        assert sniff_schema(write(tmp_path, "", name="empty.csv")) == t.CsvSchema()
+
+
 class TestDatasetFromArrays:
     def test_wraps_and_codes_labels(self):
         X = [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
@@ -220,6 +232,21 @@ class TestDescriptors:
                                           "expected_instances": 1, "bogus": True}}))
         with pytest.raises(t.DataError, match="unknown keys"):
             t.load_descriptors(path)
+
+    def test_missing_keys_rejected(self, tmp_path):
+        path = tmp_path / "descriptors.json"
+        path.write_text(json.dumps({"x": {"url": "file:///x", "expected_features": 1}}))
+        with pytest.raises(t.DataError, match=r"missing keys \['expected_instances'\]"):
+            t.load_descriptors(path)
+
+    def test_keys_default_to_the_schema_defaults(self):
+        desc = t.DatasetDescriptor.from_json(
+            "x", {"url": "u", "expected_features": 1, "expected_instances": 2,
+                  "drop_columns": [0], "header": True}
+        )
+        assert desc.title == "x"
+        assert desc.filename == "x.csv"
+        assert desc.schema == t.CsvSchema(drop_columns=(0,), header=True)
 
     def test_fetch_from_file_url(self, tmp_path):
         source = write(tmp_path, BASIC, name="source.csv")

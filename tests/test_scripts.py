@@ -65,7 +65,7 @@ def test_campaign_writes_a_report_directory(tmp_path, capsys):
     data_dir.mkdir()
     write_wine_csv(data_dir)
     script = load_script("run_campaign")
-    script.LAYOUTS = [("wine", 3, 20, (3, 7, 11))]
+    script.LAYOUTS = [("wine", 20, (3, 7, 11))]
     out = tmp_path / "campaign"
     argv = ["--data-dir", str(data_dir), "--out", str(out), "--runs", "1",
             "--max-generations", "2"]
@@ -85,7 +85,7 @@ def test_campaign_checks_every_dataset_before_the_first_run(tmp_path, capsys):
     data_dir.mkdir()
     write_wine_csv(data_dir)
     script = load_script("run_campaign")
-    script.LAYOUTS = [("wine", 3, 20, (3, 7, 11)), ("australian", 3, 20, (3, 7, 11))]
+    script.LAYOUTS = [("wine", 20, (3, 7, 11)), ("australian", 20, (3, 7, 11))]
     out = tmp_path / "campaign"
     argv = ["--data-dir", str(data_dir), "--out", str(out), "--runs", "1",
             "--max-generations", "2"]
