@@ -305,8 +305,14 @@ def _cmd_collect(args: argparse.Namespace) -> int:
     names, accuracies = [], []
     for path in args.reports:
         payload = json.loads(Path(path).read_text())
-        names.append(payload["dataset_name"])
-        accuracies.append(float(payload["accuracy_mean"]))
+        try:
+            names.append(payload["dataset_name"])
+            accuracies.append(float(payload["accuracy_mean"]))
+        except (KeyError, TypeError, ValueError) as err:
+            raise DataError(
+                f"{path}: not a report.json: it needs a 'dataset_name' and "
+                f"a numeric 'accuracy_mean'"
+            ) from err
     out = Path(args.out)
     rows = []
     if out.exists():

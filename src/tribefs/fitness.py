@@ -117,6 +117,8 @@ class LinearSVM:
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         decisions = X @ self.weights.T + self.biases
+        if self.classes.size == 2:  # one machine, whose winner has the only vote
+            return self.classes[np.where(decisions[:, 0] >= 0.0, 0, 1)]
         low, high = np.array(self.pairs).T
         winners = np.where(decisions >= 0.0, low, high)  # low < high: boundary goes low
         votes = (winners[:, :, None] == np.arange(self.classes.size)).sum(axis=1)
@@ -134,22 +136,32 @@ def _objective(w: np.ndarray, gap: np.ndarray, C: float) -> np.ndarray:
 
 
 def _piece_minimizers(
-    Z: np.ndarray, y: np.ndarray, active: np.ndarray, v: np.ndarray, C: float
+    Z: np.ndarray,
+    y: np.ndarray,
+    active: np.ndarray,
+    v: np.ndarray,
+    C: float,
+    ridge: np.ndarray,
 ) -> np.ndarray:
     """Minimize each problem's objective restricted to its active rows.
 
     Solves (R + 2C Z_A^T Z_A) v = 2C Z_A^T y_A for the whole stack, where R
-    is the identity on w and 0 on the bias. With no active row the bias has
-    no curvature and keeps its value from ``v``.
+    is the identity on w and 0 on the bias; ``ridge`` is that (d, d)
+    identity. With no active row the bias has no curvature and keeps its
+    value from ``v``.
     """
-    Z_active = Z * active[:, :, None]
+    Z_active = Z * active.astype(np.float64)[:, :, None]
     Z_active_t = Z_active.transpose(0, 2, 1)
-    lhs = 2.0 * C * (Z_active_t @ Z)
-    lhs[:, :-1, :-1] += np.eye(Z.shape[2] - 1)
-    rhs = 2.0 * C * (Z_active_t @ y[:, :, None])
-    idle = ~active.any(axis=1)
-    lhs[idle, -1, -1] = 1.0
-    rhs[idle, -1, 0] = v[idle, -1]
+    lhs = Z_active_t @ Z
+    lhs *= 2.0 * C
+    lhs[:, :-1, :-1] += ridge
+    rhs = Z_active_t @ y[:, :, None]
+    rhs *= 2.0 * C
+    has_active = active.any(axis=1)
+    if not has_active.all():
+        idle = ~has_active
+        lhs[idle, -1, -1] = 1.0
+        rhs[idle, -1, 0] = v[idle, -1]
     try:
         return np.linalg.solve(lhs, rhs)[:, :, 0]
     except np.linalg.LinAlgError:
@@ -178,8 +190,16 @@ def _solve_squared_hinge(
     stationary point of the whole objective, so the optimum is exact. It
     stops unconverged when the line search finds no decrease or when
     ``max_iter`` runs out. Starting from zero makes the result deterministic.
+
+    The full step is tried on every running problem at once, and when all
+    of them accept it (almost every iteration) each simply moves to its
+    piece minimizer; only otherwise do the rejected problems backtrack.
+    A problem's solution is written out when it leaves the running stack
+    (converged or stalled) and, for the problems still running, once when
+    ``max_iter`` runs out.
     """
     n_problems, _, width = Z.shape
+    ridge = np.eye(width - 1)
     solutions = np.zeros((n_problems, width))
     converged = np.zeros(n_problems, dtype=bool)
     # Z, y, v and gap hold only the problems still running, in this order:
@@ -190,40 +210,52 @@ def _solve_squared_hinge(
         if running.size == 0:
             break
         active = gap > 0.0
-        target = _piece_minimizers(Z, y, active, v, C)
+        target = _piece_minimizers(Z, y, active, v, C, ridge)
         gap_target = y * (y - np.einsum("bnk,bk->bn", Z, target))
         finished = ((gap_target > 0.0) == active).all(axis=1)
 
         step = target - v
         drop = gap - gap_target  # the gap falls linearly along the step
-        value = _objective(v[:, :-1], gap, C)
-        slope = np.einsum("bi,bi->b", v[:, :-1], step[:, :-1])
-        slope -= 2.0 * C * np.einsum("bi,bi->b", np.maximum(gap, 0.0), drop)
-        t = np.ones(running.size)
-        accepted = finished.copy()
-        for _ in range(_HALVINGS):
-            pending = np.flatnonzero(~accepted)
-            if pending.size == 0:
-                break
-            tp = t[pending, None]
-            trial = _objective(
-                v[pending, :-1] + tp * step[pending, :-1],
-                gap[pending] - tp * drop[pending],
-                C,
-            )
-            ok = trial <= value[pending] + _ARMIJO * t[pending] * slope[pending]
-            accepted[pending[ok]] = True
-            t[pending[~ok]] *= 0.5
-        t[~accepted] = 0.0  # stalled: no step of this direction decreases the objective
+        w = v[:, :-1]
+        hinge = np.maximum(gap, 0.0)
+        value = 0.5 * np.einsum("bi,bi->b", w, w)
+        value += C * np.einsum("bi,bi->b", hinge, hinge)
+        slope = np.einsum("bi,bi->b", w, step[:, :-1])
+        slope -= 2.0 * C * np.einsum("bi,bi->b", hinge, drop)
+        # The full step, tried on all problems; finished ones accept it anyway.
+        trial = _objective(w + step[:, :-1], gap - drop, C)
+        accepted = finished | (trial <= value + _ARMIJO * slope)
+        if accepted.all():
+            v, gap = target, gap_target
+        else:
+            # The rejecting problems backtrack from half the step; the full
+            # step was the first of their _HALVINGS trials.
+            t = np.where(accepted, 1.0, 0.5)
+            for _ in range(_HALVINGS - 1):
+                pending = np.flatnonzero(~accepted)
+                if pending.size == 0:
+                    break
+                tp = t[pending, None]
+                trial = _objective(
+                    v[pending, :-1] + tp * step[pending, :-1],
+                    gap[pending] - tp * drop[pending],
+                    C,
+                )
+                ok = trial <= value[pending] + _ARMIJO * t[pending] * slope[pending]
+                accepted[pending[ok]] = True
+                t[pending[~ok]] *= 0.5
+            # Stalled: no step of this direction decreases the objective.
+            t[~accepted] = 0.0
 
-        full = (t == 1.0)[:, None]  # finished problems never halve their step
-        v = np.where(full, target, v + t[:, None] * step)
-        gap = np.where(full, gap_target, gap - t[:, None] * drop)
-        solutions[running] = v
-        converged[running[finished]] = True
+            full = (t == 1.0)[:, None]  # finished problems never halve their step
+            v = np.where(full, target, v + t[:, None] * step)
+            gap = np.where(full, gap_target, gap - t[:, None] * drop)
         keep = accepted & ~finished
         if not keep.all():
+            solutions[running[~keep]] = v[~keep]
+            converged[running[finished]] = True
             running, Z, y, v, gap = (a[keep] for a in (running, Z, y, v, gap))
+    solutions[running] = v
     return solutions, converged
 
 
@@ -255,10 +287,10 @@ class _PairLayout:
         """
         Z = np.empty(self.rows.shape + (X.shape[1] + 1,))
         features = Z[..., :-1]
-        features[...] = np.take(X, self.rows, axis=0)
-        features -= center
+        np.subtract(np.take(X, self.rows, axis=0), center, out=features)
         features /= scale
-        Z[self.signs == 0.0] = 0.0  # whatever was gathered for the padding rows
+        if not self.signs.all():
+            Z[self.signs == 0.0] = 0.0  # whatever was gathered for the padding rows
         np.abs(self.signs, out=Z[..., -1])  # the bias column: 1 on real rows
         solutions, converged = _solve_squared_hinge(Z, self.signs, C, max_iter)
         models = []
@@ -487,7 +519,7 @@ class _PreparedFolds:
             ]
         test = np.split(standardized(self.test_rows, self.test_folds), self.test_cuts)
         percents = [
-            100.0 * float(np.mean(model.predict(block) == y))
+            100.0 * (np.count_nonzero(model.predict(block) == y) / y.size)
             for model, block, y in zip(models, test, self.test_labels)
         ]
         return float(np.mean(percents))

@@ -13,6 +13,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import numbers
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -156,10 +157,13 @@ class RunConfig:
                 "'award' and 'penalty' are replaced by one 'stake': the number of "
                 "individuals a contest moves from the loser to the winner"
             )
-        names = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(raw) - names
+        types = {f.name: f.type for f in dataclasses.fields(cls)}
+        unknown = set(raw) - set(types)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for name, value in raw.items():
+            if not _has_type(value, types[name]):
+                raise ConfigError(f"{name} must be {types[name]}, not {value!r}")
         try:
             return cls(**raw)
         except TypeError as err:
@@ -167,6 +171,34 @@ class RunConfig:
 
     def replace(self, **changes) -> "RunConfig":
         return dataclasses.replace(self, **changes)
+
+
+# What a value of each base annotation of a RunConfig field may be.
+_CONFIG_TYPES = {
+    "str": str,
+    "int": numbers.Integral,
+    "float": numbers.Real,
+    "bool": bool,
+}
+
+
+def _has_type(value, annotation: str) -> bool:
+    """Whether ``value`` fits a RunConfig field annotated ``annotation``.
+
+    The annotations are strings: a base type or ``tuple[int, ...]``,
+    optionally ``| None``. An int fits a float field, but a bool fits
+    only a bool field, although Python counts it as an int.
+    """
+    base, _, alternative = annotation.partition(" | ")
+    if value is None:
+        return alternative == "None"
+    if base == "tuple[int, ...]":
+        return isinstance(value, (list, tuple)) and all(
+            _has_type(item, "int") for item in value
+        )
+    if isinstance(value, bool):
+        return base == "bool"
+    return isinstance(value, _CONFIG_TYPES[base])
 
 
 def _checked(build, *args, **kwargs):

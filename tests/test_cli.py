@@ -90,6 +90,15 @@ class TestRunCommand:
         assert main(["run", "--config", str(config_path)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "raw", [{"dataset": "oracle.csv", "seed": 1.5}, {"dataset": 5}]
+    )
+    def test_wrong_typed_config_value_exits_one(self, tmp_path, capsys, raw):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(config_path)]) == 1
+        assert "must be" in capsys.readouterr().err
+
     @pytest.mark.parametrize("text", ["[1, 2]", "5", "null", '"blobs.csv"'])
     def test_config_json_that_is_not_an_object_exits_one(self, tmp_path, capsys, text):
         config_path = tmp_path / "config.json"
@@ -378,6 +387,19 @@ class TestStatsCommands:
         ])
         assert code == 1
         assert "existing matrix" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("text", ["{}", '{"dataset_name": "wine"}', "[1]"])
+    def test_collect_rejects_a_file_that_is_no_report(self, tmp_path, capsys, text):
+        report = tmp_path / "r.json"
+        report.write_text(text)
+        matrix = tmp_path / "m.csv"
+        code = main([
+            "stats", "collect", str(report), "--method", "x", "--out", str(matrix),
+        ])
+        assert code == 1
+        assert f"{report}: not a report.json" in capsys.readouterr().err
+        assert not matrix.exists()
 
 
 class TestFetchCommand:

@@ -15,6 +15,7 @@ from tribefs import fitness
 
 from conftest import make_blobs
 from fitness_reference import loop_predict, reference_kfold_accuracy, standardize
+import svm_reference
 from svm_reference import margin_objective, pair_problems, reference_linear_svm
 
 
@@ -234,7 +235,9 @@ class TestLinearSVM:
         Z = np.array([[[2.0, 1.0], [-2.0, 1.0]]])
         y = np.array([[1.0, -1.0]])
         v = np.array([[3.0, 0.25]])
-        target = fitness._piece_minimizers(Z, y, np.zeros((1, 2), dtype=bool), v, 1.0)
+        target = fitness._piece_minimizers(
+            Z, y, np.zeros((1, 2), dtype=bool), v, 1.0, np.eye(1)
+        )
         assert np.array_equal(target, [[0.0, 0.25]])
 
 
@@ -284,6 +287,101 @@ class TestSolverParity:
             assert t.kfold_accuracy(dataset, mask, protocol) == float(
                 np.mean(percents)
             )
+
+
+def _padded_stack(rng):
+    """A seeded solver input (Z, y, C, max_iter): a zero-padded stack of machines.
+
+    Machines have unequal lengths; some stacks have a column of -0.0 or a
+    duplicated column. A machine of one class with no features empties its
+    active set after one step. A machine of one class with features makes
+    the line search stall, but can also run to any cap, so it comes only
+    with the cap of 8.
+    """
+    n_problems = int(rng.integers(1, 21))
+    d = int(rng.integers(1, 13))
+    C = float(10.0 ** rng.uniform(-3, 6))
+    max_iter = int(rng.choice([1, 2, 8, 1000]))
+    lengths = rng.integers(2, 25, size=n_problems)
+    Z = np.zeros((n_problems, lengths.max(), d + 1))
+    y = np.zeros((n_problems, lengths.max()))
+    for p, n in enumerate(lengths):
+        signs = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+        signs[:2] = 1.0, -1.0
+        shift = rng.uniform(0.0, 3.0) * signs[:, None]
+        Z[p, :n, :-1] = rng.normal(size=(n, d)) + shift
+        Z[p, :n, -1] = 1.0
+        kind = rng.random()
+        if kind < 0.03:
+            signs[:] = 1.0
+            Z[p, :n, :-1] = 0.0
+        elif kind < 0.08 and max_iter == 8:
+            signs[:] = -1.0
+        y[p, :n] = signs
+    if rng.random() < 0.2:
+        Z[:, :, rng.integers(d)] = -0.0
+    if d > 1 and rng.random() < 0.2:
+        Z[:, :, 0] = Z[:, :, 1]
+    Z[:, :, :-1] *= 10.0 ** rng.uniform(-1, 1)
+    return Z, y, C, max_iter
+
+
+class TestNewtonMatchesReference:
+    """The solver returns the bits of its verbatim predecessor in svm_reference."""
+
+    def test_bit_parity_over_seeded_stacks(self, monkeypatch):
+        # Each reference iteration is logged through wrappers of its module's
+        # functions: the running problems, how many of them finish (the
+        # solver's own test, on the returned piece minimizers), whether one
+        # has no active row, and the objective evaluations (one for the
+        # current point, then one per line-search round).
+        iterations = []
+        piece_minimizers = svm_reference._piece_minimizers
+        objective = svm_reference._objective
+
+        def logged_piece_minimizers(Z, y, active, v, C):
+            target = piece_minimizers(Z, y, active, v, C)
+            gap_target = y * (y - np.einsum("bnk,bk->bn", Z, target))
+            finished = ((gap_target > 0.0) == active).all(axis=1)
+            idle = not active.any(axis=1).all()
+            iterations.append([Z.shape[0], int(finished.sum()), idle, 0])
+            return target
+
+        def logged_objective(w, gap, C):
+            iterations[-1][3] += 1
+            return objective(w, gap, C)
+
+        monkeypatch.setattr(
+            svm_reference, "_piece_minimizers", logged_piece_minimizers
+        )
+        monkeypatch.setattr(svm_reference, "_objective", logged_objective)
+        seen = dict.fromkeys(["halving", "stall", "empty active set", "cap"], 0)
+        rng = np.random.default_rng(20261019)
+        for _ in range(2000):
+            Z, y, C, max_iter = _padded_stack(rng)
+            iterations.clear()
+            want, want_converged = svm_reference._solve_squared_hinge(Z, y, C, max_iter)
+            got, got_converged = fitness._solve_squared_hinge(Z, y, C, max_iter)
+            assert got.tobytes() == want.tobytes()
+            assert np.array_equal(got_converged, want_converged)
+            # A problem leaves the stack when it finishes or stalls. After the
+            # last iteration that is known if the stack emptied before the
+            # cap, or if no line-search round ran at the smallest step.
+            stalled = [
+                running - finished - following
+                for (running, finished, _, _), (following, _, _, _) in zip(
+                    iterations, iterations[1:]
+                )
+            ]
+            running, finished, _, calls = iterations[-1]
+            if len(iterations) < max_iter:
+                stalled.append(running - finished)
+            elif calls <= svm_reference._HALVINGS:
+                seen["cap"] += running > finished
+            seen["halving"] += any(calls > 2 for _, _, _, calls in iterations)
+            seen["stall"] += any(count > 0 for count in stalled)
+            seen["empty active set"] += any(idle for _, _, idle, _ in iterations)
+        assert min(seen.values()) >= 50, seen
 
 
 class TestPreparedFoldsParity:

@@ -41,6 +41,29 @@ class TestRunConfig:
         with pytest.raises(t.ConfigError, match="unknown config keys"):
             t.RunConfig.from_dict({"tribal_size": 600})
 
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            {"dataset": 5},
+            {"seed": 1.5},
+            {"seed": True},
+            {"allow_infeasible": 1},
+            {"means": [2, 5.5]},
+            {"means": "2,5"},
+            {"regularization": "1"},
+            {"n_tribes": None, "tribe_size": None},
+        ],
+    )
+    def test_wrong_value_types_rejected(self, raw):
+        with pytest.raises(t.ConfigError, match="must be"):
+            t.RunConfig.from_dict(raw)
+
+    def test_json_numbers_fit_their_fields(self):
+        config = t.RunConfig.from_dict(
+            {"regularization": 2, "sigma": 1, "means": [2, 5], "n_tribes": None}
+        )
+        assert (config.regularization, config.sigma, config.means) == (2, 1, (2, 5))
+
     @pytest.mark.parametrize("key", ["award", "penalty"])
     def test_retired_stake_keys_name_stake(self, key):
         with pytest.raises(t.ConfigError, match="'stake'"):
