@@ -68,7 +68,7 @@ class CsvSchema:
 class Dataset:
     """A classification dataset in memory.
 
-    ``instances`` is an (n_instances, n_features) float64 matrix and
+    ``instances`` is an (n_instances, n_features) matrix of finite float64s and
     ``labels`` holds dense class codes 0..n_classes-1; both are read-only.
     ``class_names`` maps each code back to the label text it was read from,
     in order of first appearance, which keeps write/read round trips stable.
@@ -91,6 +91,8 @@ class Dataset:
             raise DataError("labels must align with instance rows")
         if instances.shape[0] == 0 or instances.shape[1] == 0:
             raise DataError("dataset must have at least one row and one feature")
+        if not np.isfinite(instances).all():
+            raise DataError("instances must be finite numbers")
         if len(self.feature_names) != instances.shape[1]:
             raise DataError("feature_names must align with columns")
         if len(self.class_names) < 2:

@@ -2,25 +2,26 @@
 
 An individual's fitness is the mean per-fold accuracy (percent) of a
 classifier trained on just its selected columns, under a stratified k-fold
-plan that is fixed once per run. Features are standardized per fold from
-training statistics only. The linear SVM's pair machines minimize the
-squared-hinge primal exactly with a finite Newton method, and all folds'
-pair machines of one mask are solved together in one batch: one method,
-:meth:`_PairLayout.fit`, builds that pair stack and solves it, for the
+plan that is fixed once per run. A mask's rows are standardized once, per
+fold from training statistics only, and every classifier takes them as
+they are. The linear SVM's pair machines minimize the squared-hinge primal
+exactly with a finite Newton method; :meth:`_PairLayout.fit` gathers all
+folds' pair machines of one mask into one stack and solves it, for the
 evaluator and for :func:`train_linear_svm` alike. Everything about the
 folds that does not depend on the mask (their rows, per-column statistics
 and pair layout) is prepared once by :func:`make_evaluator`, so scoring a
-mask is one gather of its columns, one batched solve and one vectorized
-vote per fold. Everything is deterministic given the dataset, the mask,
-and the protocol, which is what makes the subset-keyed fitness cache sound.
+mask is one gather of its rows, one batched solve and one vectorized vote
+per fold. All of it is deterministic given the dataset, the mask and the
+protocol, which is what makes the subset-keyed fitness cache sound.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import threading
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,8 +64,8 @@ class FitnessProtocol:
             )
         if self.folds < 2:
             raise ValueError("folds must be at least 2")
-        if self.regularization <= 0:
-            raise ValueError("regularization must be positive")
+        if not 0.0 < self.regularization < float("inf"):
+            raise ValueError("regularization must be positive and finite")
         if self.subsample is not None and not 0.0 < self.subsample <= 1.0:
             raise ValueError("subsample must lie in (0, 1]")
 
@@ -119,10 +120,22 @@ class LinearSVM:
         decisions = X @ self.weights.T + self.biases
         if self.classes.size == 2:  # one machine, whose winner has the only vote
             return self.classes[np.where(decisions[:, 0] >= 0.0, 0, 1)]
-        low, high = np.array(self.pairs).T
-        winners = np.where(decisions >= 0.0, low, high)  # low < high: boundary goes low
-        votes = (winners[:, :, None] == np.arange(self.classes.size)).sum(axis=1)
+        swing, base = _ballot(self.pairs, self.classes.size)
+        votes = (decisions >= 0.0) @ swing + base  # boundaries go to the first class
         return self.classes[np.argmax(votes, axis=1)]  # vote ties go low too
+
+
+@functools.lru_cache(maxsize=32)
+def _ballot(pairs: tuple[tuple[int, int], ...], n_classes: int):
+    """A row's class votes are ``(decisions >= 0) @ swing + base``.
+
+    ``base`` counts each machine's vote for its second class, and ``swing``
+    moves it to the first. The votes are small integers, so they are exact.
+    """
+    first, second = np.eye(n_classes)[np.array(pairs).T]  # (P, n_classes) one-hots
+    swing, base = first - second, second.sum(axis=0)
+    swing.flags.writeable = base.flags.writeable = False
+    return swing, base
 
 
 _MAX_ITER = 1000
@@ -268,30 +281,24 @@ class _PairLayout:
     pair's first class, -1 for its second and 0 on padding. ``models`` holds
     each training set's (classes, pairs), in the order of its machines.
     :func:`_pair_layout` numbers the rows in the training sets'
-    concatenation; the evaluator maps them to dataset rows once.
+    concatenation, the row order that :meth:`fit` takes.
     """
 
     rows: np.ndarray  # (B, n) int
     signs: np.ndarray  # (B, n)
     models: tuple[tuple[np.ndarray, tuple[tuple[int, int], ...]], ...]
 
-    def fit(
-        self, X: np.ndarray, center, scale, C: float, max_iter: int
-    ) -> list[LinearSVM]:
-        """Train every machine on its standardized rows of ``X`` in one solve.
+    def fit(self, X: np.ndarray, C: float, max_iter: int) -> list[LinearSVM]:
+        """Train every machine on its rows of ``X`` in one solve.
 
-        The solver's (B, n, d + 1) stack is built in place: each machine's
-        rows of ``X`` are gathered into it, standardized with ``center`` and
-        ``scale`` (scalars, or (B, 1, d) per machine), given the bias column,
-        and zeroed on padding rows. Returns one LinearSVM per training set.
+        ``X`` holds the training sets' rows, concatenated in order. The
+        solver's (B, n, d + 1) stack gathers each machine's rows of ``X``
+        with a trailing bias column of ones, and zeroes its padding rows.
+        Returns one LinearSVM per training set.
         """
-        Z = np.empty(self.rows.shape + (X.shape[1] + 1,))
-        features = Z[..., :-1]
-        np.subtract(np.take(X, self.rows, axis=0), center, out=features)
-        features /= scale
+        Z = np.take(np.column_stack((X, np.ones(len(X)))), self.rows, axis=0)
         if not self.signs.all():
             Z[self.signs == 0.0] = 0.0  # whatever was gathered for the padding rows
-        np.abs(self.signs, out=Z[..., -1])  # the bias column: 1 on real rows
         solutions, converged = _solve_squared_hinge(Z, self.signs, C, max_iter)
         models = []
         start = 0
@@ -363,7 +370,7 @@ def train_linear_svm(
     pair boundary.
     """
     X = np.asarray(X, dtype=np.float64)
-    return _pair_layout([np.asarray(y)]).fit(X, 0.0, 1.0, C, max_iter)[0]
+    return _pair_layout([np.asarray(y)]).fit(X, C, max_iter)[0]
 
 
 class _NearestCentroid:
@@ -437,11 +444,11 @@ class _PreparedFolds:
 
     It keeps each fold's training rows (after ``subsample``) and test rows,
     the training mean and spread of every column per fold and, for the
-    linear SVM, the pair layout of all folds' machines mapped to dataset
-    rows: indices and statistics, never a copy of the data. Scoring a mask
-    gathers its columns by these indices, standardizes them with the mask's
-    slice of the statistics and fits all folds at once. Standardization is
-    per column and elementwise, so every mask scores exactly as it would
+    linear SVM, the pair layout over the folds' training rows in order:
+    indices and statistics, never a copy of the data. Scoring a mask gathers
+    its rows by these indices, standardizes them (the one place that does)
+    with the mask's slice of the statistics and fits all folds at once. It
+    is per column and elementwise, so every mask scores exactly as it would
     with its folds standardized from scratch.
     """
 
@@ -465,41 +472,30 @@ class _PreparedFolds:
         self.train_labels = np.split(labels[self.train_rows], self.train_cuts)
         self.test_labels = np.split(labels[self.test_rows], self.test_cuts)
         if protocol.classifier == "linear-svm":
-            layout = _pair_layout(self.train_labels)
-            self.pairs = replace(layout, rows=self.train_rows[layout.rows])
-            machines = [len(pairs) for _, pairs in self.pairs.models]
-            self.pair_folds = np.repeat(np.arange(plan.k), machines)[:, None]
+            self.pairs = _pair_layout(self.train_labels)
 
     def _stats(
-        self, X: np.ndarray, columns: np.ndarray
+        self, train: np.ndarray, columns: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         if columns.size > 1:
             return self.center[:, columns], self.scale[:, columns]
         # NumPy sums a lone column pairwise but the columns of a wider block
         # row by row, so a single column's statistics come from that column
         # alone, as they do when a fold is standardized from scratch.
-        blocks = np.split(np.take(X, self.train_rows, axis=0), self.train_cuts)
-        stats = [_column_stats(block) for block in blocks]
+        stats = [_column_stats(block) for block in np.split(train, self.train_cuts)]
         return np.stack([c for c, _ in stats]), np.stack([s for _, s in stats])
 
     def accuracy(self, mask: np.ndarray) -> float:
         """Mean per-fold accuracy (percent) of a validated mask."""
         columns = np.flatnonzero(mask)
         X = self.instances[:, columns]
-        center, scale = self._stats(X, columns)
-
-        def standardized(rows, folds):
-            block = np.take(X, rows, axis=0)
-            block -= center[folds]
-            block /= scale[folds]
-            return block
-
+        train = np.take(X, self.train_rows, axis=0)
+        center, scale = self._stats(train, columns)
+        train -= np.take(center, self.train_folds, axis=0)
+        train /= np.take(scale, self.train_folds, axis=0)
         protocol = self.protocol
         if protocol.classifier == "linear-svm":
-            folds = self.pair_folds
-            models = self.pairs.fit(
-                X, center[folds], scale[folds], protocol.regularization, _MAX_ITER
-            )
+            models = self.pairs.fit(train, protocol.regularization, _MAX_ITER)
             if not all(model.converged for model in models):
                 # One constant message: the default filter shows it once per process.
                 warnings.warn(
@@ -512,15 +508,18 @@ class _PreparedFolds:
                 if protocol.classifier == "nearest-centroid"
                 else _NearestNeighbor
             )
-            train = standardized(self.train_rows, self.train_folds)
             models = [
                 model_type(block, y)
                 for block, y in zip(np.split(train, self.train_cuts), self.train_labels)
             ]
-        test = np.split(standardized(self.test_rows, self.test_folds), self.test_cuts)
+        # Gathered after the fit, so that no test row is held during the solve.
+        test = np.take(X, self.test_rows, axis=0)
+        test -= np.take(center, self.test_folds, axis=0)
+        test /= np.take(scale, self.test_folds, axis=0)
+        blocks = np.split(test, self.test_cuts)
         percents = [
             100.0 * (np.count_nonzero(model.predict(block) == y) / y.size)
-            for model, block, y in zip(models, test, self.test_labels)
+            for model, block, y in zip(models, blocks, self.test_labels)
         ]
         return float(np.mean(percents))
 

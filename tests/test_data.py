@@ -166,6 +166,13 @@ class TestDatasetFromArrays:
         with pytest.raises(t.DataError):
             t.dataset_from_arrays("bad", np.zeros((3, 2)), [0, 1])
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_features(self, value):
+        X = np.arange(8.0).reshape(4, 2)
+        X[2, 1] = value
+        with pytest.raises(t.DataError, match="finite"):
+            t.dataset_from_arrays("bad", X, [0, 1, 0, 1])
+
 
 class TestStratifiedFolds:
     def test_every_instance_assigned_once(self, blob_dataset):

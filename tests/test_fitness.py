@@ -41,6 +41,8 @@ class TestFitnessProtocol:
             {"regularization": 0.0},
             {"subsample": 0.0},
             {"subsample": 1.5},
+            {"regularization": float("nan")},
+            {"regularization": float("inf")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -266,7 +268,7 @@ class TestSolverParity:
                 testing.append((X_test, y[test_idx]))
             layout = fitness._pair_layout([y_train for _, y_train in training])
             X_stacked = np.concatenate([X_train for X_train, _ in training])
-            models = layout.fit(X_stacked, 0.0, 1.0, 1.0, 1000)
+            models = layout.fit(X_stacked, 1.0, 1000)
             percents = []
             for model, (X_train, y_train), (X_test, y_test) in zip(
                 models, training, testing
@@ -425,7 +427,7 @@ class TestPreparedFoldsParity:
         for columns in ([0], [3], [5], [0, 1], [1, 2, 4], list(range(6))):
             columns = np.array(columns)
             X = dataset.instances[:, columns]
-            center, scale = folds._stats(X, columns)
+            center, scale = folds._stats(X[folds.train_rows], columns)
             for fold in range(plan.k):
                 own = fitness._column_stats(X[plan.train_indices(fold)])
                 assert np.array_equal(center[fold], own[0])
