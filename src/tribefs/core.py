@@ -33,16 +33,18 @@ __all__ = [
 CountHistogram = dict[int, int]
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Individual:
     """One candidate feature subset plus its cached fitness.
 
-    The mask is stored as a read-only uint8 copy so individuals can be
-    shared freely between tribes and selection draws; operators produce new
-    individuals instead of editing masks in place. ``count`` is the number
-    of selected features, computed once here; the mask cannot change, so it
-    never goes stale. ``fitness`` is the cross-validated accuracy in
-    percent, ``None`` until evaluated.
+    The mask is a read-only uint8 view of ``bytes``: one given that way
+    (``np.frombuffer(raw, np.uint8)``) is kept, any other is copied, so no
+    writable buffer aliases it and individuals can be shared freely between
+    tribes and selection draws; operators produce new individuals instead of
+    editing masks in place. ``count`` is the number of selected features,
+    computed once here; the mask cannot change, so it never goes stale.
+    ``fitness`` is the cross-validated accuracy in percent, ``None`` until
+    evaluated.
     """
 
     mask: np.ndarray
@@ -53,25 +55,24 @@ class Individual:
         mask = np.asarray(self.mask)
         if mask.ndim != 1 or mask.size == 0:
             raise ValueError("mask must be a non-empty 1-D bit vector")
-        # Checked before the cast, which would turn 0.6 into 0 and 257 into 1.
-        if mask.dtype != np.uint8 and not np.isin(mask, (0, 1)).all():
-            raise ValueError("mask entries must be 0 or 1")
-        # A copy, so freezing it below leaves the caller's buffer writable.
-        mask = np.array(mask, dtype=np.uint8)
-        # Counting bytes is cheaper than NumPy's reductions at these sizes.
+        if mask.dtype != np.uint8:
+            # Checked before the cast, which would turn 0.6 into 0 and 257 into 1.
+            if not np.isin(mask, (0, 1)).all():
+                raise ValueError("mask entries must be 0 or 1")
+            mask = mask.astype(np.uint8)
         raw = mask.tobytes()
-        count = raw.count(1)
-        if count + raw.count(0) != len(raw):
+        # Branch-free, unlike bytes.count, which mispredicts on random masks.
+        if raw.translate(None, b"\x00\x01"):
             raise ValueError("mask entries must be 0 or 1")
+        count = int.from_bytes(raw, "little").bit_count()
         if count == 0:
             raise ValueError("the empty feature subset is not admissible")
-        mask.flags.writeable = False
-        self.mask = mask
+        self.mask = mask if type(mask.base) is bytes else np.frombuffer(raw, np.uint8)
         self.count = count
 
     @property
     def n_features(self) -> int:
-        return int(self.mask.size)
+        return self.mask.size
 
     def key(self) -> bytes:
         """Hashable identity of the subset (fitness-cache key)."""
@@ -100,7 +101,7 @@ class Tribe:
             raise ValueError("a tribe must contain at least one individual")
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
-        sizes = {ind.n_features for ind in self.individuals}
+        sizes = {ind.mask.size for ind in self.individuals}
         if len(sizes) != 1:
             raise ValueError("all individuals in a tribe must share one feature count")
 

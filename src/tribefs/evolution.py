@@ -6,8 +6,10 @@ parent's cardinality via a union-and-repair construction, and mutation only
 moves an individual between adjacent cardinality classes by simultaneously
 moving a partner the opposite way. Crossover builds only the child it keeps
 but still takes the mirror child's repair draw, so the random stream is
-that of building both. A generation is rank selection, matched crossover,
-paired mutation, evaluation, and elitist inheritance, in that order.
+that of building both. Children are spliced from their parents' bytes, and
+:class:`Individual` keeps a view of ``bytes`` without copying it. A
+generation is rank selection, matched crossover, paired mutation,
+evaluation, and elitist inheritance, in that order.
 """
 
 from __future__ import annotations
@@ -81,7 +83,13 @@ def rank_selection(
     The tribe's best individual is guaranteed to appear at least once: when
     the draw misses it, it replaces one uniformly chosen slot.
     """
-    elite = best_index(tribe)  # raises on an unevaluated tribe
+    return _draw_by_rank(tribe, best_index(tribe), config, rng)
+
+
+def _draw_by_rank(
+    tribe: Tribe, elite: int, config: EvolutionConfig, rng: np.random.Generator
+) -> list[Individual]:
+    """:func:`rank_selection` for a caller that has ranked the tribe already."""
     fitnesses = np.array([ind.fitness for ind in tribe.individuals])
     probs = selection_probabilities(fitnesses, config.selection_pressure)
     n = tribe.size
@@ -124,23 +132,26 @@ def count_preserving_crossover(
         raise ValueError("parents must share one feature count")
     if not 1 <= cut_i <= n - 1:
         raise ValueError(f"cut must lie in [1, {n - 1}]")
-    mask_i, mask_j = parent_i.mask, parent_j.mask
-    prefix_count = int(np.count_nonzero(mask_i[:cut_i]))
+    raw_i, raw_j = parent_i.key(), parent_j.key()
+    # A byte per feature, so an integer over mask bytes has a bit per feature.
+    prefix_count = int.from_bytes(raw_i[:cut_i], "little").bit_count()
     if prefix_count > parent_j.count:
         raise CrossoverAlignmentError(
             f"second parent holds {parent_j.count} set bits, "
             f"fewer than the required prefix count {prefix_count}"
         )
     # Just past parent_j's prefix_count-th set bit.
-    cut_j = int(np.flatnonzero(mask_j)[prefix_count - 1]) + 1 if prefix_count else 0
+    cut_j = int(parent_j.mask.nonzero()[0][prefix_count - 1]) + 1 if prefix_count else 0
     low, high = sorted((cut_i, cut_j))
-    doubled = int(np.count_nonzero(mask_i[low:high] & mask_j[low:high]))
-    child = np.zeros(n, dtype=np.uint8)
-    child[:cut_j] = mask_j[:cut_j]
-    child[cut_i:] |= mask_i[cut_i:]
+    window_i = int.from_bytes(raw_i[low:high], "little")
+    window_j = int.from_bytes(raw_j[low:high], "little")
+    doubled = (window_i & window_j).bit_count()
+    # Between the cuts the child holds both parents' bits if cut_i is lower, else none.
+    mid = (window_i | window_j if cut_i < cut_j else 0).to_bytes(high - low, "little")
+    child = np.frombuffer(raw_j[:low] + mid + raw_i[high:], np.uint8)
     if doubled and cut_i < cut_j:
-        unset = np.flatnonzero(child == 0)
-        child[rng.choice(unset, size=doubled, replace=False)] = 1
+        child = child.copy()
+        child[rng.choice((child == 0).nonzero()[0], size=doubled, replace=False)] = 1
     elif doubled:
         rng.choice(n - parent_j.count + doubled, size=doubled, replace=False)
     return Individual(child)
@@ -177,15 +188,15 @@ def paired_mutation(
         if not gaining and m == 1:
             continue  # losing the only set bit would empty the subset
         partner_class = m + 1 if gaining else m - 1
-        partners = np.flatnonzero(counts == partner_class)
+        partners = (counts == partner_class).nonzero()[0]
         if partners.size == 0:
             continue
         j = int(partners[rng.integers(partners.size)])
         mask_j = individuals[j].mask
         if gaining:
-            partner_positions = np.flatnonzero(mask_j == 1)
+            partner_positions = mask_j.nonzero()[0]
         else:
-            partner_positions = np.flatnonzero(mask_j == 0)
+            partner_positions = (mask_j == 0).nonzero()[0]
         partner_position = int(partner_positions[rng.integers(partner_positions.size)])
         individuals[i] = _flipped(individuals[i], position)
         individuals[j] = _flipped(individuals[j], partner_position)
@@ -194,9 +205,9 @@ def paired_mutation(
 
 
 def _flipped(ind: Individual, position: int) -> Individual:
-    mask = ind.mask.copy()
-    mask[position] ^= 1
-    return Individual(mask)
+    raw = ind.key()
+    flipped = raw[:position] + bytes((raw[position] ^ 1,)) + raw[position + 1 :]
+    return Individual(np.frombuffer(flipped, np.uint8))
 
 
 def evolve_generation(
@@ -218,10 +229,11 @@ def evolve_generation(
     its own cardinality class, so the best fitness never decreases and the
     histogram never changes.
     """
-    previous_best = tribe.individuals[best_index(tribe)]
+    elite = best_index(tribe)  # raises on an unevaluated tribe
+    previous_best = tribe.individuals[elite]
     n_features = tribe.n_features
 
-    selected = rank_selection(tribe, config, rng)
+    selected = _draw_by_rank(tribe, elite, config, rng)
     pools: dict[int, deque[Individual]] = defaultdict(deque)
     for ind in selected:
         pools[count_selected(ind)].append(ind)

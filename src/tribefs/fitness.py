@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import threading
 import warnings
 from dataclasses import dataclass
 
@@ -71,38 +70,32 @@ class FitnessProtocol:
 
 
 class FitnessCache:
-    """Thread-safe memo from subset key to fitness.
+    """Memo from subset key to fitness.
 
-    Raced writers may both evaluate the same new key; values are
-    deterministic, so last-writer-wins is harmless. ``lookups`` and
-    ``misses`` make cache behaviour observable for telemetry and tests.
+    ``lookups`` and ``misses`` make cache behaviour observable for telemetry
+    and tests.
     """
 
     def __init__(self):
         self._values: dict[bytes, float] = {}
-        self._lock = threading.Lock()
         self.lookups = 0
         self.misses = 0
 
     def get(self, key: bytes) -> float | None:
-        with self._lock:
-            self.lookups += 1
-            value = self._values.get(key)
-            if value is None:
-                self.misses += 1
-            return value
+        self.lookups += 1
+        value = self._values.get(key)
+        if value is None:
+            self.misses += 1
+        return value
 
     def put(self, key: bytes, value: float) -> None:
-        with self._lock:
-            self._values[key] = value
+        self._values[key] = value
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._values)
+        return len(self._values)
 
     def __contains__(self, key: bytes) -> bool:
-        with self._lock:
-            return key in self._values
+        return key in self._values
 
 
 @dataclass(eq=False)

@@ -272,7 +272,7 @@ class RunReport:
         return out
 
     def fingerprint(self) -> str:
-        canonical = json.dumps(self.canonical_dict(), sort_keys=True, default=_plain)
+        canonical = json.dumps(self.canonical_dict(), sort_keys=True)
         return hashlib.sha256(canonical.encode()).hexdigest()
 
     def save(self, out_dir) -> None:
@@ -286,7 +286,7 @@ class RunReport:
         payload = dataclasses.asdict(self)
         payload["fingerprint"] = self.fingerprint()
         (out_dir / "report.json").write_text(
-            json.dumps(payload, indent=2, default=_plain) + "\n"
+            json.dumps(payload, indent=2) + "\n"
         )
         with open(out_dir / "summary.csv", "w", newline="") as handle:
             writer = csv.writer(handle)
@@ -321,14 +321,6 @@ class RunReport:
                         [r.run, c.generation, c.winner, c.loser,
                          " ".join(map(str, c.sizes))]
                     )
-
-
-def _plain(value):
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    raise TypeError(f"not JSON-serializable: {type(value)}")
 
 
 def resolve_dataset(config: RunConfig) -> Dataset:

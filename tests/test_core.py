@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 import tribefs as t
 
-from conftest import make_tribe
+import engine_reference
+from conftest import make_tribe, surrogate_fitness
 
 
 def bit_vectors(max_n=30):
@@ -56,8 +57,46 @@ class TestIndividual:
             t.Individual(mask)
 
     def test_accepts_any_dtype_holding_bits(self):
-        for mask in ([1, 0, 1], [True, False, True], np.array([1.0, 0.0, 1.0])):
-            assert t.Individual(mask).key() == bytes([1, 0, 1])
+        masks = [
+            [1, 0, 1],
+            [True, False, True],
+            np.array([1.0, 0.0, 1.0]),
+            np.frombuffer(bytes([1, 0, 1]), np.bool_),
+        ]
+        for mask in masks:
+            ind = t.Individual(mask)
+            assert ind.key() == bytes([1, 0, 1])
+            assert ind.mask.dtype == np.uint8
+
+    def test_keeps_a_bytes_backed_mask_without_copying(self):
+        raw = bytes([1, 0, 1])
+        ind = t.Individual(np.frombuffer(raw, np.uint8))
+        assert ind.mask.base is raw
+        assert ind.count == 2
+
+    @pytest.mark.parametrize(
+        "view,expected",
+        [
+            (lambda raw: np.frombuffer(raw, np.uint8, count=2), [1, 0]),
+            (lambda raw: np.frombuffer(raw, np.uint8, offset=1), [0, 1, 1]),
+            # As many entries as the buffer has bytes, all of them the first.
+            (lambda raw: np.ndarray((4,), np.uint8, raw, strides=(0,)), [1, 1, 1, 1]),
+        ],
+        ids=["prefix", "suffix", "repeated"],
+    )
+    def test_counts_a_partial_or_strided_view_of_bytes(self, view, expected):
+        ind = t.Individual(view(bytes([1, 0, 1, 1])))
+        assert ind.mask.tolist() == expected
+        assert ind.count == sum(expected)
+
+    @pytest.mark.parametrize(
+        "raw,message",
+        [(bytes([1, 2, 0]), "0 or 1"), (bytes([0, 0, 0]), "empty")],
+        ids=["byte-2", "all-zeros"],
+    )
+    def test_validates_a_bytes_backed_mask(self, raw, message):
+        with pytest.raises(ValueError, match=message):
+            t.Individual(np.frombuffer(raw, np.uint8))
 
     def test_rejects_matrix(self):
         with pytest.raises(ValueError):
@@ -91,6 +130,82 @@ class TestIndividual:
     def test_count_matches_python_popcount(self, mask):
         expected = sum(int(b) for b in mask.tolist())
         assert t.count_selected(t.Individual(mask)) == expected
+
+
+def assert_sealed(ind):
+    """The mask is read-only, no writable buffer aliases it, and its count holds."""
+    mask = ind.mask
+    assert mask.dtype == np.uint8 and not mask.flags.writeable
+    with pytest.raises(ValueError):
+        mask.flags.writeable = True
+    root = mask
+    while isinstance(root, np.ndarray) and root.base is not None:
+        root = root.base
+    assert type(root) is bytes
+    assert ind.count == engine_reference.count_selected(ind)
+
+
+class TestOperatorMasks:
+    """Every operator hands out sealed masks and leaves its inputs as they were."""
+
+    def test_sampled_individuals(self):
+        rng = np.random.default_rng(41)
+        for _ in range(300):
+            n = int(rng.integers(1, 300))
+            ind = t.sample_individual(n, int(rng.integers(1, n + 1)), rng)
+            assert_sealed(ind)
+
+    def test_crossover_children(self):
+        rng = np.random.default_rng(42)
+        for _ in range(600):
+            n = int(rng.integers(2, 300))
+            count = int(rng.integers(1, n + 1))
+            parents = [t.sample_individual(n, count, rng) for _ in range(2)]
+            before = [parent.key() for parent in parents]
+            child = t.count_preserving_crossover(*parents, int(rng.integers(1, n)), rng)
+            assert_sealed(child)
+            assert [parent.key() for parent in parents] == before
+
+    def test_mutants(self):
+        config = t.EvolutionConfig(mutation_rate=0.5)
+        mutants = 0
+        for seed in range(40):
+            rng = np.random.default_rng([43, seed])
+            n = int(rng.integers(4, 60))
+            low = int(rng.integers(1, n - 2))
+            counts = {m: 3 for m in range(low, low + 4)}
+            tribe = make_tribe(counts, n_features=n, seed=seed)
+            before = [ind.key() for ind in tribe.individuals]
+            mutated = t.paired_mutation(tribe, config, rng)
+            for new, old in zip(mutated.individuals, tribe.individuals):
+                assert_sealed(new)
+                mutants += new is not old
+            assert [ind.key() for ind in tribe.individuals] == before
+        assert mutants >= 100
+
+    def test_competition_newcomers(self):
+        config = t.CompetitionConfig(interval=1, stake=3)
+        for seed in range(20):
+            tribes = [
+                make_tribe({3: 3, 4: 4, 5: 3}, seed=10 * seed + k) for k in range(3)
+            ]
+            population = t.Population(tribes=tribes)
+            members = [ind for tribe in tribes for ind in tribe.individuals]
+            before = [ind.key() for ind in members]
+            resized, record = t.apply_competition(
+                population, config, surrogate_fitness, np.random.default_rng([44, seed])
+            )
+            assert record is not None
+            newcomers = [
+                ind
+                for tribe in resized.tribes
+                for ind in tribe.individuals
+                if not any(ind is member for member in members)
+            ]
+            assert newcomers
+            for ind in newcomers:
+                assert_sealed(ind)
+            assert [ind.key() for ind in members] == before
 
 
 class TestMaskStrings:
@@ -162,6 +277,11 @@ class TestPopulation:
     def test_size_sums_tribes(self):
         tribes = [make_tribe({4: 3}, seed=s) for s in range(3)]
         assert t.Population(tribes=tribes).size == 9
+
+    def test_n_features_is_the_mask_width(self):
+        # The benchmark's operator micro-measurements read it.
+        tribes = [make_tribe({4: 3}, n_features=12, seed=s) for s in range(2)]
+        assert t.Population(tribes=tribes).n_features == 12
 
     def test_rejects_empty_population(self):
         with pytest.raises(ValueError):

@@ -148,6 +148,9 @@ class TestAllocateCounts:
             t.allocate_counts(9, 5, 1.0, 10, keep=0)
         with pytest.raises(ValueError):
             t.allocate_counts(9, 5, 1.0, 10, keep=10)
+        # Every weight underflows: the nearest bin is half a unit from the mean.
+        with pytest.raises(ValueError, match="degenerate profile"):
+            t.allocate_counts(9, 4.5, 0.01, 10)
 
     def test_tiny_sigma_concentrates_on_mean(self):
         assert t.allocate_counts(20, 7, 0.05, 50) == {7: 50}

@@ -58,6 +58,12 @@ class TestDeriveTribeCount:
     def test_known_values(self, n_features, tribe_size, expected):
         assert t.derive_tribe_count(n_features, tribe_size) == expected
 
+    def test_rejects_non_positive(self):
+        with pytest.raises(ValueError, match="must be positive"):
+            t.derive_tribe_count(0, 600)
+        with pytest.raises(ValueError, match="must be positive"):
+            t.derive_tribe_count(9, 0)
+
     @given(st.integers(1, 3000), st.integers(1, 10000))
     def test_count_keeps_sigma_under_cap_or_clamps(self, n, size):
         count = t.derive_tribe_count(n, size)
@@ -87,6 +93,10 @@ class TestPlaceMeans:
     def test_rejects_overcrowded_range(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             t.place_means(4, 9)
+
+    def test_rejects_non_positive_count(self):
+        with pytest.raises(ValueError, match="n_tribes must be positive"):
+            t.place_means(9, 0)
 
     @given(st.integers(4, 500))
     def test_means_stay_inside_range(self, n):
@@ -120,6 +130,18 @@ class TestTribePlan:
     def test_rejects_unsorted_means(self):
         with pytest.raises(ValueError):
             t.TribePlan.derive(9, tribe_size=600, means=(5, 2, 8))
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("n_features", 0), ("tribe_size", 0), ("sigma", 0.0)],
+    )
+    def test_rejects_non_positive_field(self, field, value):
+        fields = dict(
+            n_features=9, n_tribes=3, tribe_size=10, means=(2, 5, 8), sigma=1.0
+        )
+        fields[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be positive"):
+            t.TribePlan(**fields)
 
     def test_rejects_mean_count_mismatch(self):
         with pytest.raises(ValueError):
