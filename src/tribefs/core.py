@@ -37,14 +37,13 @@ CountHistogram = dict[int, int]
 class Individual:
     """One candidate feature subset plus its cached fitness.
 
-    The mask is a read-only uint8 view of ``bytes``: one given that way
-    (``np.frombuffer(raw, np.uint8)``) is kept, any other is copied, so no
-    writable buffer aliases it and individuals can be shared freely between
-    tribes and selection draws; operators produce new individuals instead of
-    editing masks in place. ``count`` is the number of selected features,
-    computed once here; the mask cannot change, so it never goes stale.
-    ``fitness`` is the cross-validated accuracy in percent, ``None`` until
-    evaluated.
+    The mask is copied once into ``bytes`` and held as a read-only uint8
+    view of them, so no writable buffer aliases it and individuals can be
+    shared freely between tribes and selection draws; operators produce new
+    individuals instead of editing masks in place. ``count`` is the number
+    of selected features, computed once here; the mask cannot change, so it
+    never goes stale. ``fitness`` is the cross-validated accuracy in
+    percent, ``None`` until evaluated.
     """
 
     mask: np.ndarray
@@ -67,7 +66,7 @@ class Individual:
         count = int.from_bytes(raw, "little").bit_count()
         if count == 0:
             raise ValueError("the empty feature subset is not admissible")
-        self.mask = mask if type(mask.base) is bytes else np.frombuffer(raw, np.uint8)
+        self.mask = np.frombuffer(raw, np.uint8)
         self.count = count
 
     @property

@@ -6,10 +6,10 @@ parent's cardinality via a union-and-repair construction, and mutation only
 moves an individual between adjacent cardinality classes by simultaneously
 moving a partner the opposite way. Crossover builds only the child it keeps
 but still takes the mirror child's repair draw, so the random stream is
-that of building both. Children are spliced from their parents' bytes, and
-:class:`Individual` keeps a view of ``bytes`` without copying it. A
-generation is rank selection, matched crossover, paired mutation,
-evaluation, and elitist inheritance, in that order.
+that of building both. Children are spliced from their parents' bytes,
+which :class:`Individual` copies once and holds read-only. A generation is
+rank selection, matched crossover, paired mutation, evaluation, and elitist
+inheritance, in that order.
 """
 
 from __future__ import annotations
@@ -148,9 +148,8 @@ def count_preserving_crossover(
     doubled = (window_i & window_j).bit_count()
     # Between the cuts the child holds both parents' bits if cut_i is lower, else none.
     mid = (window_i | window_j if cut_i < cut_j else 0).to_bytes(high - low, "little")
-    child = np.frombuffer(raw_j[:low] + mid + raw_i[high:], np.uint8)
+    child = np.frombuffer(bytearray(raw_j[:low] + mid + raw_i[high:]), np.uint8)
     if doubled and cut_i < cut_j:
-        child = child.copy()
         child[rng.choice((child == 0).nonzero()[0], size=doubled, replace=False)] = 1
     elif doubled:
         rng.choice(n - parent_j.count + doubled, size=doubled, replace=False)
@@ -193,10 +192,7 @@ def paired_mutation(
             continue
         j = int(partners[rng.integers(partners.size)])
         mask_j = individuals[j].mask
-        if gaining:
-            partner_positions = mask_j.nonzero()[0]
-        else:
-            partner_positions = (mask_j == 0).nonzero()[0]
+        partner_positions = (mask_j == gaining).nonzero()[0]
         partner_position = int(partner_positions[rng.integers(partner_positions.size)])
         individuals[i] = _flipped(individuals[i], position)
         individuals[j] = _flipped(individuals[j], partner_position)

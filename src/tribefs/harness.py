@@ -102,6 +102,11 @@ class RunConfig:
             raise ConfigError("runs must be positive")
         if self.means is not None:
             object.__setattr__(self, "means", tuple(int(m) for m in self.means))
+        # NumPy numbers pass the type checks; the report's JSON needs plain ones.
+        for name, value in vars(self).items():
+            if isinstance(value, numbers.Real) and type(value) not in (int, float, bool):
+                plain = int(value) if isinstance(value, numbers.Integral) else float(value)
+                object.__setattr__(self, name, plain)
         # Fail fast on bad operator settings instead of inside run r of n.
         self.evolution()
         self.competition()

@@ -68,27 +68,6 @@ class TestIndividual:
             assert ind.key() == bytes([1, 0, 1])
             assert ind.mask.dtype == np.uint8
 
-    def test_keeps_a_bytes_backed_mask_without_copying(self):
-        raw = bytes([1, 0, 1])
-        ind = t.Individual(np.frombuffer(raw, np.uint8))
-        assert ind.mask.base is raw
-        assert ind.count == 2
-
-    @pytest.mark.parametrize(
-        "view,expected",
-        [
-            (lambda raw: np.frombuffer(raw, np.uint8, count=2), [1, 0]),
-            (lambda raw: np.frombuffer(raw, np.uint8, offset=1), [0, 1, 1]),
-            # As many entries as the buffer has bytes, all of them the first.
-            (lambda raw: np.ndarray((4,), np.uint8, raw, strides=(0,)), [1, 1, 1, 1]),
-        ],
-        ids=["prefix", "suffix", "repeated"],
-    )
-    def test_counts_a_partial_or_strided_view_of_bytes(self, view, expected):
-        ind = t.Individual(view(bytes([1, 0, 1, 1])))
-        assert ind.mask.tolist() == expected
-        assert ind.count == sum(expected)
-
     @pytest.mark.parametrize(
         "raw,message",
         [(bytes([1, 2, 0]), "0 or 1"), (bytes([0, 0, 0]), "empty")],

@@ -212,6 +212,17 @@ class TestReportSerialization:
         assert payload["config"]["tribe_size"] == 100
         assert len(payload["results"]) == 1
 
+    def test_numpy_numbers_in_the_config_serialize(self, tmp_path, small_dataset):
+        config = tiny_config(
+            runs=1, seed=np.int64(7), tribe_size=np.int32(100), mutation_rate=np.float32(0.5)
+        )
+        assert type(config.seed) is int and type(config.mutation_rate) is float
+        report = t.run_experiment(config, small_dataset)
+        plain = t.run_experiment(tiny_config(runs=1, mutation_rate=0.5), small_dataset)
+        assert report.fingerprint() == plain.fingerprint()
+        report.save(tmp_path)
+        assert json.loads((tmp_path / "report.json").read_text())["config"]["seed"] == 7
+
     def test_save_writes_three_csvs(self, tmp_path, small_dataset):
         report = t.run_experiment(tiny_config(runs=1), small_dataset)
         report.save(tmp_path)
