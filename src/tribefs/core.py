@@ -77,10 +77,6 @@ class Individual:
         """Hashable identity of the subset (fitness-cache key)."""
         return self.mask.tobytes()
 
-    def __repr__(self):  # pragma: no cover - debugging aid
-        fit = "?" if self.fitness is None else f"{self.fitness:.2f}"
-        return f"Individual({mask_to_string(self.mask)}, fitness={fit})"
-
 
 @dataclass(eq=False)
 class Tribe:

@@ -2,17 +2,19 @@
 
 An individual's fitness is the mean per-fold accuracy (percent) of a
 classifier trained on just its selected columns, under a stratified k-fold
-plan that is fixed once per run. A mask's rows are standardized once, per
-fold from training statistics only, and every classifier takes them as
-they are. The linear SVM's pair machines minimize the squared-hinge primal
-exactly with a finite Newton method; :meth:`_PairLayout.fit` gathers all
-folds' pair machines of one mask into one stack and solves it, for the
-evaluator and for :func:`train_linear_svm` alike. Everything about the
-folds that does not depend on the mask (their rows, per-column statistics
-and pair layout) is prepared once by :func:`make_evaluator`, so scoring a
-mask is one gather of its rows, one batched solve and one vectorized vote
-per fold. All of it is deterministic given the dataset, the mask and the
-protocol, which is what makes the subset-keyed fitness cache sound.
+plan that is fixed once per run. Every column is standardized per fold,
+from that fold's training rows only, once, when :func:`make_evaluator`
+prepares the folds; every classifier takes a mask's columns of those
+standardized rows as they are. The linear SVM's pair machines minimize the
+squared-hinge primal exactly with a finite Newton method;
+:meth:`_PairLayout.fit` gathers all folds' pair machines of one mask into
+one stack and solves it, for the evaluator and for :func:`train_linear_svm`
+alike. Everything about the folds that does not depend on the mask (their
+standardized rows per fold and the pair layout) is prepared once, so
+scoring a mask is one gather of its columns, one batched solve and one
+vectorized vote per fold. All of it is deterministic given the dataset,
+the mask and the protocol, which is what makes the subset-keyed fitness
+cache sound.
 """
 
 from __future__ import annotations
@@ -391,11 +393,20 @@ class _NearestNeighbor:
         return self.y[np.argmin(d2, axis=1)]
 
 
-def _column_stats(train: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    center = train.mean(axis=0)
-    scale = train.std(axis=0)
+def _standardize(train: np.ndarray, test: np.ndarray) -> None:
+    """Standardize both blocks in place by ``train``'s column means and spreads.
+
+    Each column is reduced on its own, along the contiguous axis of the
+    transposed block: NumPy sums that pairwise, as it sums a lone column,
+    but it sums the columns of a wider row-major block row by row.
+    """
+    columns = np.ascontiguousarray(train.T)
+    center = columns.mean(axis=1)
+    scale = columns.std(axis=1)
     scale[scale == 0.0] = 1.0  # constant columns pass through centered
-    return center, scale
+    for block in (train, test):
+        block -= center
+        block /= scale
 
 
 def _subsample_rows(
@@ -425,31 +436,22 @@ def resolve_mask(mask, n_features: int) -> np.ndarray:
     return mask.mask
 
 
-def _stacked(blocks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Concatenated per-fold row indices, each row's fold, and the fold cuts."""
-    sizes = [block.size for block in blocks]
-    folds = np.repeat(np.arange(len(blocks)), sizes)
-    return np.concatenate(blocks), folds, np.cumsum(sizes)[:-1]
-
-
 class _PreparedFolds:
     """Everything about the protocol's fold plan that does not depend on the mask.
 
-    It keeps each fold's training rows (after ``subsample``) and test rows,
-    the training mean and spread of every column per fold and, for the
-    linear SVM, the pair layout over the folds' training rows in order:
-    indices and statistics, never a copy of the data. Scoring a mask gathers
-    its rows by these indices, standardizes them (the one place that does)
-    with the mask's slice of the statistics and fits all folds at once. It
-    is per column and elementwise, so every mask scores exactly as it would
-    with its folds standardized from scratch.
+    It stores the standardized rows per fold: each fold's training rows
+    (after ``subsample``) and test rows, every column standardized by that
+    column's own mean and spread over the fold's training rows, and, for
+    the linear SVM, the pair layout over the folds' training rows in order.
+    Standardization is per column and elementwise, so a mask's columns of
+    these rows are exactly that mask's folds standardized from scratch, and
+    scoring a mask only gathers its columns and fits all folds at once.
     """
 
     def __init__(self, dataset: Dataset, protocol: FitnessProtocol):
         plan = stratified_folds(dataset, protocol.folds, protocol.fold_seed)
         self.protocol = protocol
-        self.instances = dataset.instances
-        labels = dataset.labels
+        instances, labels = dataset.instances, dataset.labels
         train = [plan.train_indices(fold) for fold in range(plan.k)]
         if protocol.subsample is not None:
             train = [
@@ -457,35 +459,23 @@ class _PreparedFolds:
                 for fold, rows in enumerate(train)
             ]
         test = [plan.test_indices(fold) for fold in range(plan.k)]
-        stats = [_column_stats(self.instances[rows]) for rows in train]
-        self.center = np.stack([center for center, _ in stats])
-        self.scale = np.stack([scale for _, scale in stats])
-        self.train_rows, self.train_folds, self.train_cuts = _stacked(train)
-        self.test_rows, self.test_folds, self.test_cuts = _stacked(test)
-        self.train_labels = np.split(labels[self.train_rows], self.train_cuts)
-        self.test_labels = np.split(labels[self.test_rows], self.test_cuts)
+        self.train = instances[np.concatenate(train)]
+        self.test = instances[np.concatenate(test)]
+        self.train_cuts = np.cumsum([rows.size for rows in train])[:-1]
+        self.test_cuts = np.cumsum([rows.size for rows in test])[:-1]
+        for fold_train, fold_test in zip(
+            np.split(self.train, self.train_cuts), np.split(self.test, self.test_cuts)
+        ):
+            _standardize(fold_train, fold_test)
+        self.train_labels = [labels[rows] for rows in train]
+        self.test_labels = [labels[rows] for rows in test]
         if protocol.classifier == "linear-svm":
             self.pairs = _pair_layout(self.train_labels)
-
-    def _stats(
-        self, train: np.ndarray, columns: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        if columns.size > 1:
-            return self.center[:, columns], self.scale[:, columns]
-        # NumPy sums a lone column pairwise but the columns of a wider block
-        # row by row, so a single column's statistics come from that column
-        # alone, as they do when a fold is standardized from scratch.
-        stats = [_column_stats(block) for block in np.split(train, self.train_cuts)]
-        return np.stack([c for c, _ in stats]), np.stack([s for _, s in stats])
 
     def accuracy(self, mask: np.ndarray) -> float:
         """Mean per-fold accuracy (percent) of a validated mask."""
         columns = np.flatnonzero(mask)
-        X = self.instances[:, columns]
-        train = np.take(X, self.train_rows, axis=0)
-        center, scale = self._stats(train, columns)
-        train -= np.take(center, self.train_folds, axis=0)
-        train /= np.take(scale, self.train_folds, axis=0)
+        train = np.take(self.train, columns, axis=1)
         protocol = self.protocol
         if protocol.classifier == "linear-svm":
             models = self.pairs.fit(train, protocol.regularization, _MAX_ITER)
@@ -506,9 +496,7 @@ class _PreparedFolds:
                 for block, y in zip(np.split(train, self.train_cuts), self.train_labels)
             ]
         # Gathered after the fit, so that no test row is held during the solve.
-        test = np.take(X, self.test_rows, axis=0)
-        test -= np.take(center, self.test_folds, axis=0)
-        test /= np.take(scale, self.test_folds, axis=0)
+        test = np.take(self.test, columns, axis=1)
         blocks = np.split(test, self.test_cuts)
         percents = [
             100.0 * (np.count_nonzero(model.predict(block) == y) / y.size)
@@ -522,9 +510,10 @@ def kfold_accuracy(
 ) -> float:
     """Mean cross-validated accuracy (percent) of the masked feature set.
 
-    The folds are prepared for this one mask; to score many, build the
-    fitness function once with :func:`make_evaluator`, which prepares them
-    once and gives every mask the same value.
+    The folds (their standardized rows per fold) are prepared for this one
+    mask; to score many, build the fitness function once with
+    :func:`make_evaluator`, which prepares them once and gives every mask
+    the same value.
     """
     return make_evaluator(dataset, protocol)(mask)
 
@@ -537,9 +526,9 @@ def make_evaluator(
     """Build the fitness function the engine calls on individuals.
 
     The stratified fold plan and everything about the folds that does not
-    depend on the mask (rows, per-column training statistics, the pair
-    machines' layout) are prepared once here and shared by every
-    evaluation, and results are memoized in ``cache`` when one is given.
+    depend on the mask (the standardized rows per fold, the pair machines'
+    layout) are prepared once here and shared by every evaluation, and
+    results are memoized in ``cache`` when one is given.
     Evaluation errors propagate and leave no cache entry behind.
     """
     folds = _PreparedFolds(dataset, protocol)

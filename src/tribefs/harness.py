@@ -169,10 +169,7 @@ class RunConfig:
         for name, value in raw.items():
             if not _has_type(value, types[name]):
                 raise ConfigError(f"{name} must be {types[name]}, not {value!r}")
-        try:
-            return cls(**raw)
-        except TypeError as err:
-            raise ConfigError(str(err)) from err
+        return cls(**raw)
 
     def replace(self, **changes) -> "RunConfig":
         return dataclasses.replace(self, **changes)
@@ -403,15 +400,19 @@ def generations(
     ``config.max_generations`` generations, in which every tribe evolves
     once and, every ``competition_interval`` generations, the tribes hold a
     contest; ``record`` is that contest's :class:`CompetitionRecord`, or
-    ``None``. ``seed`` spawns the init, evolution and contest streams, so
-    equal seeds yield equal populations. There is no stop rule: callers
+    ``None``. The init, evolution and contest streams are spawned from a
+    copy of ``seed``, which is left as it was, so equal seeds, or one seed
+    passed twice, yield equal populations. There is no stop rule: callers
     ``break`` (on patience, a target accuracy, ...).
 
     The operators are looked up as this module's globals on every call, so
     tracing can rebind ``tribefs.harness.init_population``,
     ``evolve_generation`` and ``apply_competition`` from outside.
     """
-    init_seed, evolve_seed, contest_seed = seed.spawn(3)
+    # A copy, because ``spawn`` advances the SeedSequence it is called on.
+    init_seed, evolve_seed, contest_seed = np.random.SeedSequence(
+        seed.entropy, spawn_key=seed.spawn_key, pool_size=seed.pool_size
+    ).spawn(3)
     population = init_population(plan, np.random.default_rng(init_seed))
     for tribe in population.tribes:
         for individual in tribe.individuals:

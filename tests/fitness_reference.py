@@ -1,7 +1,8 @@
 """Reference fitness pipeline: every mask scored from scratch, fold by fold.
 
-This is the k-fold pipeline the prepared-fold path replaced, kept verbatim:
-slice the mask's columns, standardize each fold from its own training rows,
+This is the k-fold pipeline the prepared-fold path replaced, kept verbatim
+but for one rule: slice the mask's columns, standardize each fold from its
+own training rows (each column by its own mean and spread, reduced alone),
 assemble the pair stack machine by machine, solve, and count votes with a
 loop over the class pairs. The parity tests require the engine's fitness to
 equal it exactly.
@@ -36,8 +37,8 @@ def loop_predict(model: LinearSVM, X: np.ndarray) -> np.ndarray:
 
 
 def standardize(train, test):
-    center = train.mean(axis=0)
-    scale = train.std(axis=0)
+    center = np.array([column.mean() for column in train.T])
+    scale = np.array([column.std() for column in train.T])
     scale[scale == 0.0] = 1.0  # constant columns pass through centered
     return (train - center) / scale, (test - center) / scale
 

@@ -343,6 +343,19 @@ class TestStatsCommands:
         assert main(["stats", "friedman", str(path)]) == 1
         assert "non-numeric" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("method,wine\n", "expected a header and at least one method row"),
+            ("method,wine,zoo\nalpha,97.0\n", "ragged matrix"),
+        ],
+    )
+    def test_matrix_of_the_wrong_shape_exits_one(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        assert main(["stats", "friedman", str(path)]) == 1
+        assert message in capsys.readouterr().err
+
     def test_without_scipy_names_the_extra(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setitem(sys.modules, "scipy", None)  # as if not installed
         assert main(["stats", "friedman", str(self.write_matrix(tmp_path))]) == 2

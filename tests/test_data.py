@@ -116,6 +116,24 @@ class TestLoadCsv:
     def test_empty_file_fails(self, tmp_path):
         with pytest.raises(t.DataError, match="no data rows"):
             t.load_csv(write(tmp_path, "\n\n"))
+        with pytest.raises(t.DataError, match="empty file"):
+            t.load_csv(write(tmp_path, "\n"), t.CsvSchema(header=True))
+
+    def test_unknown_label_name_fails(self, tmp_path):
+        text = "a,b,label\n1.0,2.0,yes\n3.0,4.0,no\n"
+        schema = t.CsvSchema(label_column="class", header=True)
+        with pytest.raises(t.DataError, match="no column named 'class'"):
+            t.load_csv(write(tmp_path, text), schema)
+
+    def test_no_feature_column_left_fails(self, tmp_path):
+        text = "7,1.0,yes\n8,2.0,no\n"
+        with pytest.raises(t.DataError, match="no feature columns left"):
+            t.load_csv(write(tmp_path, text), t.CsvSchema(drop_columns=(0, 1)))
+
+    def test_every_row_dropped_fails(self, tmp_path):
+        text = "?,1.0,yes\n2.0,?,no\n"
+        with pytest.raises(t.DataError, match="every row was dropped"):
+            t.load_csv(write(tmp_path, text))
 
     def test_out_of_range_columns_fail(self, tmp_path):
         with pytest.raises(t.DataError, match="out of range"):
@@ -165,6 +183,21 @@ class TestDatasetFromArrays:
             t.dataset_from_arrays("bad", np.zeros(3), [0, 1, 0])
         with pytest.raises(t.DataError):
             t.dataset_from_arrays("bad", np.zeros((3, 2)), [0, 1])
+        with pytest.raises(t.DataError, match="at least one row and one feature"):
+            t.dataset_from_arrays("bad", np.zeros((4, 0)), [0, 1, 0, 1])
+        with pytest.raises(t.DataError, match="feature_names must align"):
+            t.dataset_from_arrays("bad", np.zeros((2, 2)), [0, 1], ("a",))
+        with pytest.raises(t.DataError, match="2-D matrix"):
+            t.Dataset("bad", np.zeros(3), [0, 1, 0], ("f0",), ("a", "b"))
+
+    def test_rejects_a_single_class(self):
+        with pytest.raises(t.DataError, match="at least two classes"):
+            t.dataset_from_arrays("bad", np.zeros((2, 2)), [0, 0])
+
+    @pytest.mark.parametrize("labels", [[0, 2, 1], [0, -1, 1]])
+    def test_rejects_labels_outside_the_class_codes(self, labels):
+        with pytest.raises(t.DataError, match="dense codes"):
+            t.Dataset("bad", np.zeros((3, 1)), labels, ("f0",), ("a", "b"))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_features(self, value):
@@ -287,6 +320,16 @@ class TestDescriptors:
         descriptors = t.load_descriptors(path)
         with pytest.raises(t.DataError, match="99"):
             t.fetch_dataset("toy", tmp_path / "data", descriptors)
+
+    def test_load_named_detects_an_instance_count_mismatch(self, tmp_path):
+        path = tmp_path / "descriptors.json"
+        path.write_text(json.dumps({
+            "toy": {"url": "file:///unused", "expected_features": 3,
+                    "expected_instances": 5}
+        }))
+        write(tmp_path, BASIC)  # toy.csv: 3 features, 4 instances
+        with pytest.raises(t.DataError, match="parsed 4 instances, descriptor expects 5"):
+            t.load_named("toy", tmp_path, t.load_descriptors(path))
 
     def test_failed_fetch_leaves_no_file(self, tmp_path):
         source = write(tmp_path, BASIC, name="source.csv")

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -412,26 +413,29 @@ class TestPreparedFoldsParity:
         assert scored == 108
 
     def test_statistics_equal_each_folds_own(self):
-        # NumPy reduces a lone column pairwise and a wider block row by row,
-        # which differ in the last bits; either way the prepared statistics
-        # must be exactly those of the fold's own training block.
+        # Every stored value is its column standardized alone on the fold's
+        # training rows, the constant column (spread 0) only centered.
         dataset = make_blobs(n_per_class=60, n_features=6, seed=9)
+        X = np.column_stack([dataset.instances, np.full(dataset.n_instances, 4.0)])
+        dataset = t.dataset_from_arrays("blobs", X, dataset.labels)
         plan = t.stratified_folds(dataset, 5, 0)
         folds = fitness._PreparedFolds(dataset, t.FitnessProtocol(folds=5))
-        for columns in ([0], [3], [5], [0, 1], [1, 2, 4], list(range(6))):
-            columns = np.array(columns)
-            X = dataset.instances[:, columns]
-            center, scale = folds._stats(X[folds.train_rows], columns)
-            for fold in range(plan.k):
-                own = fitness._column_stats(X[plan.train_indices(fold)])
-                assert np.array_equal(center[fold], own[0])
-                assert np.array_equal(scale[fold], own[1])
+        train = np.split(folds.train, folds.train_cuts)
+        test = np.split(folds.test, folds.test_cuts)
+        for fold in range(plan.k):
+            for j in range(dataset.n_features):
+                column = X[plan.train_indices(fold), j]
+                center, scale = column.mean(), column.std() or 1.0
+                assert np.array_equal(train[fold][:, j], (column - center) / scale)
+                held = X[plan.test_indices(fold), j]
+                assert np.array_equal(test[fold][:, j], (held - center) / scale)
 
     @pytest.mark.parametrize("n_selected", [60, 30])
     def test_peak_memory_within_reference(self, n_selected):
-        # Sonar-sized two-class data: the prepared path keeps indices and
-        # statistics, so one evaluation allocates less than scoring the mask
-        # from scratch, which holds every fold's standardized copy.
+        # Sonar-sized two-class data: the prepared path stores the
+        # standardized rows per fold, so one evaluation only gathers the
+        # mask's columns of them and allocates less than scoring the mask
+        # from scratch, which standardizes every fold's rows anew.
         dataset = make_blobs(
             n_per_class=104, n_features=60, informative=tuple(range(12)),
             separation=0.7, seed=0,
@@ -654,3 +658,48 @@ def test_evaluation_leaves_numpy_ma_unloaded():
         check=True,
     )
     assert done.stdout.strip() == "False"
+
+
+_THREAD_PROBE = """
+import hashlib, json, numpy as np, tribefs as t
+from tribefs import fitness
+solve, digest = fitness._solve_squared_hinge, hashlib.sha256()
+def hashed(Z, y, C, max_iter):
+    solutions, converged = solve(Z, y, C, max_iter)
+    digest.update(solutions.tobytes())
+    return solutions, converged
+fitness._solve_squared_hinge = hashed
+rng = np.random.default_rng(4)
+y = np.repeat([0, 1, 2], 60)
+X = rng.normal(size=(y.size, 160)) + 0.4 * y[:, None] * (np.arange(160) < 40)
+dataset = t.dataset_from_arrays("wide", X, y)
+evaluate = t.make_evaluator(dataset, t.FitnessProtocol(folds=5))
+masks = [np.zeros(160, np.uint8) for _ in range(4)]
+for mask in masks:
+    mask[rng.choice(160, 120, replace=False)] = 1
+accuracies = [evaluate(mask) for mask in masks]
+print(json.dumps({"accuracies": accuracies, "solutions": digest.hexdigest()}))
+"""
+
+
+def test_accuracies_do_not_depend_on_blas_threads(record_property):
+    # Pair machines of 120 columns, where the solver's bits already move
+    # between one and two OpenBLAS threads. The variable only takes effect
+    # before NumPy loads, hence one process per thread count.
+    src = Path(__file__).resolve().parent.parent / "src"
+    outcomes = []
+    for threads in ("1", "2"):
+        done = subprocess.run(
+            [sys.executable, "-c", _THREAD_PROBE],
+            env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads},
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        outcomes.append(json.loads(done.stdout))
+    one, two = outcomes
+    same_bits = one["solutions"] == two["solutions"]
+    record_property("solution_bytes_agree_across_blas_threads", same_bits)
+    print(f"solution bytes agree across 1 and 2 BLAS threads: {same_bits}")
+    assert one["accuracies"] == two["accuracies"]

@@ -446,6 +446,21 @@ class TestGenerationLoop:
         assert [g for g, _ in seen] == [0, 1, 2, 3, 4, 5]
         assert not any(contested for g, contested in seen if g % 2)
 
+    def test_generator_leaves_its_seed_as_it_was(self, small_dataset):
+        # Two searches from one SeedSequence object are the same search.
+        config = tiny_config(max_generations=2)
+        plan = config.plan(small_dataset.n_features)
+        evaluate = t.make_evaluator(small_dataset, config.protocol())
+        seed = np.random.SeedSequence(config.seed)
+
+        def final_masks():
+            *_, (_, population, _) = t.generations(plan, config, evaluate, seed)
+            tribes = population.tribes
+            return [ind.key() for tribe in tribes for ind in tribe.individuals]
+
+        assert final_masks() == final_masks()
+        assert seed.n_children_spawned == 0
+
     def test_generator_matches_run_experiment(self, small_dataset):
         # Run r of a report is the generator fed run r's spawned seed.
         config = tiny_config(runs=2, max_generations=4)
