@@ -36,7 +36,6 @@ from .data import (
     write_csv,
 )
 from .evolution import (
-    CrossoverAlignmentError,
     EvolutionConfig,
     count_preserving_crossover,
     evolve_generation,

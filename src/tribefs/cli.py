@@ -262,14 +262,18 @@ def _read_matrix(path) -> tuple[list[str], list[str], np.ndarray]:
         rows = list(csv.reader(handle))
     if len(rows) < 2 or len(rows[0]) < 2:
         raise DataError(f"{path}: expected a header and at least one method row")
+    for line, row in enumerate(rows[1:], start=2):
+        if len(row) != len(rows[0]):
+            raise DataError(
+                f"{path}: ragged matrix: line {line} has {len(row)} cells, "
+                f"the header {len(rows[0])}"
+            )
     datasets = rows[0][1:]
     methods = [row[0] for row in rows[1:]]
     try:
         values = np.array([[float(cell) for cell in row[1:]] for row in rows[1:]])
     except ValueError as err:
         raise DataError(f"{path}: non-numeric accuracy cell ({err})") from err
-    if values.shape[1] != len(datasets):
-        raise DataError(f"{path}: ragged matrix")
     return methods, datasets, values
 
 

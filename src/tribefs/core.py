@@ -74,7 +74,7 @@ class Individual:
         return self.mask.size
 
     def key(self) -> bytes:
-        """Hashable identity of the subset (fitness-cache key)."""
+        """Hashable identity of the subset, and the order that breaks rank ties."""
         return self.mask.tobytes()
 
 

@@ -1,8 +1,8 @@
 """Intra-tribe generation step.
 
 Every operator here preserves the tribe's selected-count histogram exactly:
-selection resamples individuals, a crossover child inherits its first
-parent's cardinality via a union-and-repair construction, and mutation only
+selection resamples individuals, crossover pairs parents of one cardinality
+and keeps it via a union-and-repair construction, and mutation only
 moves an individual between adjacent cardinality classes by simultaneously
 moving a partner the opposite way. Crossover builds only the child it keeps
 but still takes the mirror child's repair draw, so the random stream is
@@ -23,7 +23,6 @@ from .core import Individual, Tribe, best_index, count_selected
 
 __all__ = [
     "EvolutionConfig",
-    "CrossoverAlignmentError",
     "selection_probabilities",
     "rank_selection",
     "count_preserving_crossover",
@@ -47,10 +46,6 @@ class EvolutionConfig:
             raise ValueError("mutation_rate must lie in [0, 1]")
         if not 1.0 < self.selection_pressure <= 2.0:
             raise ValueError("selection_pressure must lie in (1, 2]")
-
-
-class CrossoverAlignmentError(ValueError):
-    """No cut in the second parent matches the first parent's prefix count."""
 
 
 def selection_probabilities(fitnesses: np.ndarray, pressure: float) -> np.ndarray:
@@ -105,14 +100,16 @@ def count_preserving_crossover(
     cut_i: int,
     rng: np.random.Generator,
 ) -> Individual:
-    """Single-point crossover child that keeps ``parent_i``'s cardinality.
+    """Single-point crossover child of two parents of one cardinality.
 
     The cut in the second parent is not free: it is the shortest prefix of
     ``parent_j`` containing exactly as many set bits as ``parent_i`` has
-    before ``cut_i``. The child is the union of ``parent_j``'s prefix with
-    ``parent_i``'s suffix; positions present in both halves collapse, so
-    any deficit is repaired by setting uniformly chosen unset bits until the
-    child's count matches its parent's again.
+    before ``cut_i``, which equal counts always provide. The child is the
+    union of ``parent_j``'s prefix with ``parent_i``'s suffix; positions
+    present in both halves collapse, so any deficit is repaired by setting
+    uniformly chosen unset bits until the child's count is its parents'
+    again. Parents of unequal cardinality, which :func:`evolve_generation`
+    never pairs, raise a ValueError before any draw.
 
     The mirror child (``parent_i``'s prefix with ``parent_j``'s suffix) is
     not built, but its repair draw is still taken, so the generator's stream
@@ -120,26 +117,18 @@ def count_preserving_crossover(
     two cuts "doubled": the child whose halves overlap there loses them.
     That is this child when ``cut_i`` is the lower cut, and the mirror child
     otherwise, which would then choose its ``doubled`` bits among
-    ``n - count_j + doubled`` unset ones.
-
-    Raises :class:`CrossoverAlignmentError`, before any draw, when
-    ``parent_j`` has fewer set bits in total than the required prefix count.
-    Parents of equal cardinality, the only ones :func:`evolve_generation`
-    pairs, always align.
+    ``n - count + doubled`` unset ones.
     """
     n = parent_i.n_features
     if parent_j.n_features != n:
         raise ValueError("parents must share one feature count")
+    if parent_j.count != parent_i.count:
+        raise ValueError("parents must share one cardinality")
     if not 1 <= cut_i <= n - 1:
         raise ValueError(f"cut must lie in [1, {n - 1}]")
     raw_i, raw_j = parent_i.key(), parent_j.key()
     # A byte per feature, so an integer over mask bytes has a bit per feature.
     prefix_count = int.from_bytes(raw_i[:cut_i], "little").bit_count()
-    if prefix_count > parent_j.count:
-        raise CrossoverAlignmentError(
-            f"second parent holds {parent_j.count} set bits, "
-            f"fewer than the required prefix count {prefix_count}"
-        )
     # Just past parent_j's prefix_count-th set bit.
     cut_j = int(parent_j.mask.nonzero()[0][prefix_count - 1]) + 1 if prefix_count else 0
     low, high = sorted((cut_i, cut_j))

@@ -94,6 +94,11 @@ class RunConfig:
     runs: int = 1
 
     def __post_init__(self):
+        # Every way of building one (direct, replace, sweep, JSON, CLI) checks here.
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if not _has_type(value, field.type):
+                raise ConfigError(f"{field.name} must be {field.type}, not {value!r}")
         if self.max_generations < 0:
             raise ConfigError("max_generations must be non-negative")
         if self.patience < 0:
@@ -104,7 +109,9 @@ class RunConfig:
             object.__setattr__(self, "means", tuple(int(m) for m in self.means))
         # NumPy numbers pass the type checks; the report's JSON needs plain ones.
         for name, value in vars(self).items():
-            if isinstance(value, numbers.Real) and type(value) not in (int, float, bool):
+            if isinstance(value, np.bool_):
+                object.__setattr__(self, name, bool(value))
+            elif isinstance(value, numbers.Real) and type(value) not in (int, float, bool):
                 plain = int(value) if isinstance(value, numbers.Integral) else float(value)
                 object.__setattr__(self, name, plain)
         # Fail fast on bad operator settings instead of inside run r of n.
@@ -162,13 +169,9 @@ class RunConfig:
                 "'award' and 'penalty' are replaced by one 'stake': the number of "
                 "individuals a contest moves from the loser to the winner"
             )
-        types = {f.name: f.type for f in dataclasses.fields(cls)}
-        unknown = set(raw) - set(types)
+        unknown = set(raw) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        for name, value in raw.items():
-            if not _has_type(value, types[name]):
-                raise ConfigError(f"{name} must be {types[name]}, not {value!r}")
         return cls(**raw)
 
     def replace(self, **changes) -> "RunConfig":
@@ -188,8 +191,8 @@ def _has_type(value, annotation: str) -> bool:
     """Whether ``value`` fits a RunConfig field annotated ``annotation``.
 
     The annotations are strings: a base type or ``tuple[int, ...]``,
-    optionally ``| None``. An int fits a float field, but a bool fits
-    only a bool field, although Python counts it as an int.
+    optionally ``| None``. An int fits a float field, but a bool (Python's
+    or NumPy's) fits only a bool field, although Python counts it as an int.
     """
     base, _, alternative = annotation.partition(" | ")
     if value is None:
@@ -198,7 +201,7 @@ def _has_type(value, annotation: str) -> bool:
         return isinstance(value, (list, tuple)) and all(
             _has_type(item, "int") for item in value
         )
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return base == "bool"
     return isinstance(value, _CONFIG_TYPES[base])
 
@@ -253,7 +256,7 @@ class RunReport:
 
     ``fingerprint`` hashes the canonical JSON form, which excludes wall
     times; two reports from the same config and seed have equal
-    fingerprints on any machine.
+    fingerprints under the same NumPy version, BLAS build and thread count.
     """
 
     config: dict

@@ -50,15 +50,13 @@ def exhaustive_best_subset(
             f"exhaustive search over {n} features means 2^{n}-1 evaluations; "
             f"pass max_features={n} to insist"
         )
-    evaluate = make_evaluator(dataset, protocol)  # the folds are prepared once
+    evaluate = make_evaluator(dataset, protocol, cache)  # the folds are prepared once
     start = time.perf_counter()
 
     def scored():
         for code in range(1, 1 << n):
-            mask = np.array([(code >> i) & 1 for i in range(n)], dtype=np.uint8)
-            subset = Individual(mask, evaluate(mask))
-            if cache is not None:
-                cache.put(subset.key(), subset.fitness)
+            subset = Individual(np.array([(code >> i) & 1 for i in range(n)], np.uint8))
+            subset.fitness = evaluate(subset)
             yield subset
 
     best = min(scored(), key=lambda subset: (rank_key(subset), subset.key()))

@@ -7,11 +7,13 @@ demand identical tribes and identical generator states. ``count_selected``
 is the original mask popcount it scans with, so the reference does not
 rely on the count an ``Individual`` caches.
 
-``count_preserving_crossover`` is the original two-child crossover: it
-builds, repairs and returns both children. The library builds only the
-first and takes the second's repair draw without building it, so
-``crossover_with_mirror`` demands the same first child and the same
-generator state, and hands tests the mirror child to check as well.
+``count_preserving_crossover`` is the original two-child crossover, kept
+verbatim with its own ``CrossoverAlignmentError``: it also crossed parents
+of unequal cardinality, which the library now refuses. It builds, repairs
+and returns both children. The library builds only the first and takes the
+second's repair draw without building it, so ``crossover_with_mirror``
+demands the same first child and the same generator state, and hands tests
+the mirror child to check as well.
 
 ``brute_force_histogram`` recounts a tribe's selected-count histogram with
 plain Python loops over ``mask.tolist()``; property tests use it to catch
@@ -21,7 +23,6 @@ vectorization mistakes and a wrong cached count alike.
 import copy
 
 import numpy as np
-import pytest
 
 import tribefs as t
 
@@ -82,6 +83,10 @@ def _flipped(ind: t.Individual, position: int) -> t.Individual:
     return t.Individual(mask)
 
 
+class CrossoverAlignmentError(ValueError):
+    """No cut in the second parent matches the first parent's prefix count."""
+
+
 def count_preserving_crossover(
     parent_i: t.Individual,
     parent_j: t.Individual,
@@ -112,7 +117,7 @@ def count_preserving_crossover(
     else:
         cumulative = np.cumsum(parent_j.mask)
         if int(cumulative[-1]) < prefix_count:
-            raise t.CrossoverAlignmentError(
+            raise CrossoverAlignmentError(
                 f"second parent holds {int(cumulative[-1])} set bits, "
                 f"fewer than the required prefix count {prefix_count}"
             )
@@ -150,22 +155,13 @@ def crossover_with_mirror(
 ) -> tuple[t.Individual, t.Individual]:
     """The library's crossover child and the reference's mirror child.
 
-    The reference runs on a copy of ``rng``. The library's child must equal
-    the reference's first child, and the two generators must end in one
-    state. When the cut cannot align, both must raise
-    :class:`tribefs.CrossoverAlignmentError` before drawing, and the error
-    is raised on.
+    The parents share one cardinality, as the library requires. The
+    reference runs on a copy of ``rng``. The library's child must equal the
+    reference's first child, and the two generators must end in one state.
     """
-    before = rng.bit_generator.state
     twin = copy.deepcopy(rng)
-    try:
-        want_i, want_j = count_preserving_crossover(parent_i, parent_j, cut_i, twin)
-    except t.CrossoverAlignmentError as error:
-        with pytest.raises(t.CrossoverAlignmentError):
-            t.count_preserving_crossover(parent_i, parent_j, cut_i, rng)
-        assert rng.bit_generator.state == twin.bit_generator.state == before
-        raise error
     child = t.count_preserving_crossover(parent_i, parent_j, cut_i, rng)
+    want_i, want_j = count_preserving_crossover(parent_i, parent_j, cut_i, twin)
     assert child.key() == want_i.key()
     assert rng.bit_generator.state == twin.bit_generator.state
     return child, want_j

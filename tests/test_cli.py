@@ -348,6 +348,8 @@ class TestStatsCommands:
         [
             ("method,wine\n", "expected a header and at least one method row"),
             ("method,wine,zoo\nalpha,97.0\n", "ragged matrix"),
+            ("method,a,b\nx,1,2\ny,1\n", "ragged matrix: line 3 has 2 cells, the header 3"),
+            ("method,wine\nalpha,97.0\n\n", "ragged matrix: line 3 has 0 cells"),
         ],
     )
     def test_matrix_of_the_wrong_shape_exits_one(self, tmp_path, capsys, text, message):

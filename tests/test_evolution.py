@@ -151,38 +151,37 @@ class TestRankSelection:
 
 class TestCountPreservingCrossover:
     def test_worked_example(self):
+        # Both parents select 5 of 10. parent_i holds 2 set bits before cut 3,
+        # and parent_j's second set bit is at 4, so its cut is 5. The child is
+        # parent_j's "010" and parent_i's "1001100" with both parents' bits
+        # between the cuts, "11"; nothing doubles there, so nothing is repaired.
         parent_i = t.Individual(t.mask_from_string("1011001100"))
-        parent_j = t.Individual(t.mask_from_string("0100110000"))
+        parent_j = t.Individual(t.mask_from_string("0100110011"))
         child_i, child_j = engine_reference.crossover_with_mirror(
             parent_i, parent_j, 3, np.random.default_rng(0)
         )
         assert t.mask_to_string(child_i.mask) == "0101101100"
-        assert t.mask_to_string(child_j.mask) == "1010010000"
+        assert t.mask_to_string(child_j.mask) == "1010010011"
         # parent_j's cut is 5, just past its second set bit, and parent_i's
         # second set bit ends at 3: swapping the parents builds the mirror.
         swapped = t.count_preserving_crossover(
             parent_j, parent_i, 5, np.random.default_rng(0)
         )
-        assert t.mask_to_string(swapped.mask) == "1010010000"
+        assert t.mask_to_string(swapped.mask) == "1010010011"
 
     def test_children_keep_parent_counts(self):
         rng = np.random.default_rng(42)
         for _ in range(2000):
             n = int(rng.integers(2, 40))
-            m_i = int(rng.integers(1, n + 1))
-            m_j = int(rng.integers(1, n + 1))
-            parent_i = t.sample_individual(n, m_i, rng)
-            parent_j = t.sample_individual(n, m_j, rng)
+            m = int(rng.integers(1, n + 1))
+            parent_i = t.sample_individual(n, m, rng)
+            parent_j = t.sample_individual(n, m, rng)
             cut = int(rng.integers(1, n))
-            try:
-                child_i, child_j = engine_reference.crossover_with_mirror(
-                    parent_i, parent_j, cut, rng
-                )
-            except t.CrossoverAlignmentError:
-                assert m_j < int(parent_i.mask[:cut].sum())
-                continue
-            assert t.count_selected(child_i) == m_i
-            assert t.count_selected(child_j) == m_j
+            child_i, child_j = engine_reference.crossover_with_mirror(
+                parent_i, parent_j, cut, rng
+            )
+            assert t.count_selected(child_i) == m
+            assert t.count_selected(child_j) == m
 
     def test_equal_counts_never_misalign(self):
         rng = np.random.default_rng(9)
@@ -198,20 +197,28 @@ class TestCountPreservingCrossover:
             assert t.count_selected(child_i) == m
             assert t.count_selected(child_j) == m
 
-    def test_alignment_error_when_second_parent_too_sparse(self):
-        parent_i = t.Individual(t.mask_from_string("1110"))
-        parent_j = t.Individual(t.mask_from_string("1000"))
-        with pytest.raises(t.CrossoverAlignmentError):
-            t.count_preserving_crossover(parent_i, parent_j, 3, np.random.default_rng(0))
+    def test_unequal_cardinalities_raise_before_any_draw(self):
+        # A sparser and a denser second parent, in either order, at every cut.
+        parent = t.Individual(t.mask_from_string("1110"))
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        for other in (t.Individual(t.mask_from_string(s)) for s in ("1000", "1111")):
+            for first, second in ((parent, other), (other, parent)):
+                for cut in (1, 2, 3):
+                    with pytest.raises(ValueError, match="share one cardinality"):
+                        t.count_preserving_crossover(first, second, cut, rng)
+        assert rng.bit_generator.state == before
 
     def test_empty_prefix_cut(self):
-        parent_i = t.Individual(t.mask_from_string("0001"))
+        # parent_i sets nothing before the cut, so parent_j's cut is 0: the
+        # child is parent_i itself and the mirror is parent_j.
+        parent_i = t.Individual(t.mask_from_string("0011"))
         parent_j = t.Individual(t.mask_from_string("1100"))
         child_i, child_j = engine_reference.crossover_with_mirror(
             parent_i, parent_j, 2, np.random.default_rng(0)
         )
-        assert t.count_selected(child_i) == 1
-        assert t.count_selected(child_j) == 2
+        assert child_i.key() == parent_i.key()
+        assert child_j.key() == parent_j.key()
 
     def test_rejects_bad_cut(self):
         parent = t.Individual(t.mask_from_string("1010"))
@@ -238,10 +245,11 @@ class TestCountPreservingCrossover:
 
 
 def _crossover_case(rng):
-    """Seeded parents and a cut, with the cut at either end a third of the time."""
+    """Seeded parents of one cardinality and a cut, at either end a third of the time."""
     n = int(rng.integers(2, 301))
-    parent_i = t.sample_individual(n, int(rng.integers(1, n + 1)), rng)
-    parent_j = t.sample_individual(n, int(rng.integers(1, n + 1)), rng)
+    m = int(rng.integers(1, n + 1))
+    parent_i = t.sample_individual(n, m, rng)
+    parent_j = t.sample_individual(n, m, rng)
     cut = int(rng.choice([1, n - 1, int(rng.integers(1, n))]))
     return parent_i, parent_j, cut
 
@@ -254,7 +262,6 @@ class TestCrossoverMatchesReference:
         seen = dict.fromkeys(
             [
                 "equal counts",
-                "unequal counts",
                 "empty prefix",
                 "cut 1",
                 "cut n - 1",
@@ -263,7 +270,6 @@ class TestCrossoverMatchesReference:
                 "cut_j at cut_i",
                 "child repaired",
                 "mirror repaired",
-                "misaligned",
             ],
             0,
         )
@@ -272,18 +278,12 @@ class TestCrossoverMatchesReference:
             n, mask_i, mask_j = parent_i.n_features, parent_i.mask, parent_j.mask
             prefix = int(mask_i[:cut].sum())
             seen["equal counts"] += parent_i.count == parent_j.count
-            seen["unequal counts"] += parent_i.count != parent_j.count
             seen["empty prefix"] += prefix == 0
             seen["cut 1"] += cut == 1
             seen["cut n - 1"] += cut == n - 1
-            try:
-                child, mirror = engine_reference.crossover_with_mirror(
-                    parent_i, parent_j, cut, rng
-                )
-            except t.CrossoverAlignmentError:
-                assert prefix > parent_j.count
-                seen["misaligned"] += 1
-                continue
+            child, mirror = engine_reference.crossover_with_mirror(
+                parent_i, parent_j, cut, rng
+            )
             cut_j = int(np.flatnonzero(mask_j)[prefix - 1]) + 1 if prefix else 0
             low, high = sorted((cut, cut_j))
             doubled = int((mask_i[low:high] & mask_j[low:high]).sum())

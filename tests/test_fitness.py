@@ -629,6 +629,23 @@ class TestMakeEvaluator:
         evaluate(mask)
         assert mask.flags.writeable
 
+    def test_cache_keys_are_packed_masks(self):
+        # At 2000 features a packed key is 250 bytes, not the mask's 2000.
+        dataset = make_blobs(n_per_class=6, n_features=2000, seed=2)
+        cache = t.FitnessCache()
+        evaluate = t.make_evaluator(
+            dataset, t.FitnessProtocol(classifier="nearest-centroid", folds=3), cache
+        )
+        rng = np.random.default_rng(0)
+        masks = [t.sample_individual(2000, int(m), rng) for m in (1, 7, 1000, 2000)]
+        for ind in masks:
+            evaluate(ind)
+        assert len(cache) == 4
+        for ind in masks:
+            key = np.packbits(ind.mask).tobytes()
+            assert len(key) == 250
+            assert key in cache and ind.key() not in cache
+
     def test_errors_leave_no_cache_entry(self, blob_dataset):
         cache = t.FitnessCache()
         evaluate = t.make_evaluator(blob_dataset, t.FitnessProtocol(folds=5), cache)

@@ -58,6 +58,16 @@ class TestRunConfig:
         with pytest.raises(t.ConfigError, match="must be"):
             t.RunConfig.from_dict(raw)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"max_generations": 2.5}, {"runs": 2.0}, {"means": [1.5]}],
+    )
+    def test_direct_construction_checks_types(self, kwargs):
+        with pytest.raises(t.ConfigError, match="must be"):
+            t.RunConfig(**kwargs)
+        with pytest.raises(t.ConfigError, match="must be"):
+            tiny_config().replace(**kwargs)
+
     def test_json_numbers_fit_their_fields(self):
         config = t.RunConfig.from_dict(
             {"regularization": 2, "sigma": 1, "means": [2, 5], "n_tribes": None}
@@ -214,11 +224,18 @@ class TestReportSerialization:
 
     def test_numpy_numbers_in_the_config_serialize(self, tmp_path, small_dataset):
         config = tiny_config(
-            runs=1, seed=np.int64(7), tribe_size=np.int32(100), mutation_rate=np.float32(0.5)
+            runs=1,
+            seed=np.int64(7),
+            tribe_size=np.int32(100),
+            mutation_rate=np.float32(0.5),
+            allow_infeasible=np.True_,
         )
         assert type(config.seed) is int and type(config.mutation_rate) is float
+        assert type(config.allow_infeasible) is bool
         report = t.run_experiment(config, small_dataset)
-        plain = t.run_experiment(tiny_config(runs=1, mutation_rate=0.5), small_dataset)
+        plain = t.run_experiment(
+            tiny_config(runs=1, mutation_rate=0.5, allow_infeasible=True), small_dataset
+        )
         assert report.fingerprint() == plain.fingerprint()
         report.save(tmp_path)
         assert json.loads((tmp_path / "report.json").read_text())["config"]["seed"] == 7
