@@ -40,12 +40,6 @@ def main(argv=None):
     except (FileNotFoundError, t.DataError, t.ConfigError) as err:
         print(err, file=sys.stderr)
         return 1
-    # The engine would refuse an infeasible layout only after the exhaustive
-    # search has run, so check it first.
-    diagnostics = t.validate_plan(plan)
-    if diagnostics:
-        print(f"infeasible tribe layout: {'; '.join(diagnostics)}", file=sys.stderr)
-        return 1
     protocol = config.protocol()
     cache = t.FitnessCache()
 

@@ -53,9 +53,16 @@ from .fitness import (
     train_linear_svm,
 )
 from .genesis import (
+    MIN_SIGMA,
+    SIGMA_CAP_COEFF,
+    TRIBE_COUNT_COEFF,
     InfeasiblePlanError,
+    TribePlan,
     allocate_counts,
+    derive_sigma,
+    derive_tribe_count,
     init_population,
+    place_means,
     sample_counts,
     sample_individual,
     validate_plan,
@@ -78,14 +85,5 @@ from .harness import (
     sweep,
 )
 from .oracle import OracleResult, exhaustive_best_subset
-from .params import (
-    MIN_SIGMA,
-    SIGMA_CAP_COEFF,
-    TRIBE_COUNT_COEFF,
-    TribePlan,
-    derive_sigma,
-    derive_tribe_count,
-    place_means,
-)
 
 __version__ = "0.1.0"

@@ -135,7 +135,7 @@ _FLAG_KINDS = {
 _FLAG_OPTIONS = {
     "dataset": {"help": "descriptor name or CSV path"},
     "means": {"help": "comma-separated tribe means, e.g. 2,5,8"},
-    "allow_infeasible": {"help": "run even when the plan fails validation"},
+    "allow_infeasible": {"help": "run a tribe layout that fails its feasibility check"},
     "classifier": {"choices": CLASSIFIER_KINDS},
     "stake": {"help": "individuals a contest moves from loser to winner"},
 }

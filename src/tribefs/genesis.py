@@ -1,37 +1,181 @@
-"""Population initialization.
+"""The tribe layout: its closed-form sizing, its check, and the draws.
 
+Tribe means are spread evenly over the cardinality range, the common spread
+``sigma`` is tied to the gap between neighbouring means so adjacent tribes
+half-overlap, and the tribe count is chosen so that even the outermost
+cardinality bins of every tribe are populated at the configured tribe size.
 Each tribe's size is split across cardinality bins by a discrete Gaussian
 profile, rounded to integers with a largest-remainder repair so the bin
-counts always sum to the exact tribe size. Individuals are then drawn
-uniformly from the subsets of each bin's cardinality. Competition resizes
-a tribe with the same :func:`allocate_counts`, its ``keep`` holding a seat
-for the best individual; there is no separate resize target.
-:func:`validate_plan` checks a plan against these allocations and returns
-human-readable diagnostics instead of raising, so callers can decide
-whether to proceed.
+counts always sum to the exact tribe size; competition resizes a tribe with
+the same :func:`allocate_counts`, its ``keep`` holding a seat for the best
+individual. A :class:`TribePlan` checks itself against these allocations
+with :func:`validate_plan` when it is built and raises
+:class:`InfeasiblePlanError` unless it opts into ``allow_infeasible``, so
+:func:`init_population` only draws: individuals are drawn uniformly from
+the subsets of each bin's cardinality.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import CountHistogram, Individual, Population, Tribe
-from .params import MIN_SIGMA, SIGMA_CAP_COEFF, TribePlan, derive_sigma
 
 __all__ = [
+    "SIGMA_CAP_COEFF",
+    "TRIBE_COUNT_COEFF",
+    "MIN_SIGMA",
+    "derive_sigma",
+    "derive_tribe_count",
+    "place_means",
+    "TribePlan",
+    "InfeasiblePlanError",
     "allocate_counts",
     "sample_individual",
     "sample_counts",
     "validate_plan",
     "init_population",
-    "InfeasiblePlanError",
 ]
 
 
 class InfeasiblePlanError(ValueError):
-    """Raised when a plan fails validation and overrides were not requested."""
+    """Raised when a plan that fails validation is built without ``allow_infeasible``."""
+
+
+# Largest admissible sigma per tribe member: with means one 3*sigma-span apart,
+# a bin 3*sigma from the mean holds at least one individual only while
+# sigma <= SIGMA_CAP_COEFF * tribe_size.
+SIGMA_CAP_COEFF = (2.0 / math.sqrt(2.0 * math.pi)) * math.exp(-4.5)
+
+# Members-per-feature ratio behind the tribe-count rule; equals
+# 1 / (3 * SIGMA_CAP_COEFF), kept as its own closed form for clarity.
+TRIBE_COUNT_COEFF = math.sqrt(2.0 * math.pi) / (6.0 * math.exp(-4.5))
+
+# Below this spread the discrete Gaussian degenerates to a single bin and the
+# normalization bound used above stops holding.
+MIN_SIGMA = 0.7
+
+
+def derive_sigma(n_features: int, n_tribes: int) -> float:
+    """Smallest spread under which neighbouring tribes still half-overlap.
+
+    Means sit ``n_features / (n_tribes + 1)`` apart and each tribe covers
+    3*sigma to either side, so the tightest admissible spread is a third of
+    the gap between means.
+    """
+    if n_features < 1 or n_tribes < 1:
+        raise ValueError("n_features and n_tribes must be positive")
+    return n_features / (3.0 * (n_tribes + 1))
+
+
+def derive_tribe_count(n_features: int, tribe_size: int) -> int:
+    """Tribe count keeping the derived sigma within the per-member cap.
+
+    Solves ``derive_sigma(N, n_tribes) <= SIGMA_CAP_COEFF * tribe_size`` for
+    the smallest integer tribe count and clamps it to at least 3 so the
+    cardinality range is always covered by more than a token pair of tribes.
+    """
+    if n_features < 1 or tribe_size < 1:
+        raise ValueError("n_features and tribe_size must be positive")
+    suggested = math.ceil(TRIBE_COUNT_COEFF * n_features / tribe_size - 1.0)
+    return max(3, suggested)
+
+
+def place_means(n_features: int, n_tribes: int) -> tuple[int, ...]:
+    """Evenly spaced integer tribe means over the cardinality range.
+
+    Tribe k (1-based) gets ``round(k * n_features / (n_tribes + 1))`` with
+    half-values rounded up. Means must come out strictly increasing; they
+    always do for n_tribes <= n_features.
+    """
+    if n_tribes < 1:
+        raise ValueError("n_tribes must be positive")
+    means = tuple(
+        int(math.floor(k * n_features / (n_tribes + 1) + 0.5))
+        for k in range(1, n_tribes + 1)
+    )
+    if any(b <= a for a, b in zip(means, means[1:])):
+        raise ValueError(
+            f"means {means} are not strictly increasing; "
+            f"{n_tribes} tribes do not fit {n_features} features"
+        )
+    return means
+
+
+@dataclass(frozen=True)
+class TribePlan:
+    """A fully resolved tribe layout for one run.
+
+    Normally built with :meth:`derive`, which fills every field from the
+    dataset's feature count and the requested tribe size. Explicit ``means``
+    or ``sigma`` overrides are first-class: some published layouts place
+    means off the rounding grid, and sweeps need to force tribe counts.
+    A plan that fails :func:`validate_plan` raises
+    :class:`InfeasiblePlanError` when it is built, unless it sets
+    ``allow_infeasible``.
+    """
+
+    n_features: int
+    n_tribes: int
+    tribe_size: int
+    means: tuple[int, ...]
+    sigma: float
+    allow_infeasible: bool = False
+
+    def __post_init__(self):
+        if self.n_features < 1:
+            raise ValueError("n_features must be positive")
+        if self.tribe_size < 1:
+            raise ValueError("tribe_size must be positive")
+        if self.n_tribes != len(self.means):
+            raise ValueError("means must list one value per tribe")
+        if any(not 1 <= m <= self.n_features for m in self.means):
+            raise ValueError("every mean must lie in [1, n_features]")
+        if any(b <= a for a, b in zip(self.means, self.means[1:])):
+            raise ValueError("means must be strictly increasing")
+        if not 0 < self.sigma < math.inf:
+            raise ValueError("sigma must be positive and finite")
+        if not self.allow_infeasible:
+            diagnostics = validate_plan(self)
+            if diagnostics:
+                raise InfeasiblePlanError(
+                    "infeasible tribe layout: " + "; ".join(diagnostics)
+                )
+
+    @property
+    def population_size(self) -> int:
+        return self.n_tribes * self.tribe_size
+
+    @classmethod
+    def derive(
+        cls,
+        n_features: int,
+        tribe_size: int,
+        n_tribes: int | None = None,
+        means: tuple[int, ...] | None = None,
+        sigma: float | None = None,
+        allow_infeasible: bool = False,
+    ) -> "TribePlan":
+        """Build a plan, deriving every field not given explicitly."""
+        if n_tribes is None:
+            n_tribes = len(means) if means is not None else derive_tribe_count(
+                n_features, tribe_size
+            )
+        if means is None:
+            means = place_means(n_features, n_tribes)
+        if sigma is None:
+            sigma = derive_sigma(n_features, n_tribes)
+        return cls(
+            n_features=n_features,
+            n_tribes=n_tribes,
+            tribe_size=tribe_size,
+            means=tuple(means),
+            sigma=float(sigma),
+            allow_infeasible=allow_infeasible,
+        )
 
 
 def _gaussian_quotas(n_features: int, mu: float, sigma: float, size: int) -> np.ndarray:
@@ -158,13 +302,10 @@ def validate_plan(plan: TribePlan) -> list[str]:
 def init_population(plan: TribePlan, rng: np.random.Generator) -> Population:
     """Build the full starting population for a plan.
 
-    The plan is validated first; diagnostics raise unless the plan opts into
-    ``allow_infeasible``. Each tribe draws from its own child generator so a
-    tribe's contents do not depend on how many tribes precede it.
+    The plan was checked when it was built, so this only draws. Each tribe
+    draws from its own child generator so a tribe's contents do not depend
+    on how many tribes precede it.
     """
-    diagnostics = validate_plan(plan)
-    if diagnostics and not plan.allow_infeasible:
-        raise InfeasiblePlanError("; ".join(diagnostics))
     streams = rng.spawn(plan.n_tribes)
     tribes = []
     for mu, stream in zip(plan.means, streams):

@@ -33,8 +33,7 @@ from .data import (
 )
 from .evolution import EvolutionConfig, evolve_generation
 from .fitness import FitnessCache, FitnessProtocol, make_evaluator
-from .genesis import init_population
-from .params import TribePlan
+from .genesis import TribePlan, init_population
 
 __all__ = [
     "ConfigError",

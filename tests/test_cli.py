@@ -84,6 +84,32 @@ class TestRunCommand:
         assert main(run_flags(blob_csv, "--means", "2,a")) == 1
         assert "--means expects comma-separated integers" in capsys.readouterr().err
 
+    def test_infeasible_layout_exits_one_before_running(self, blob_csv, tmp_path, capsys):
+        # Three tribes of four cannot populate their edge bins at ten features.
+        out = tmp_path / "out"
+        flags = run_flags(blob_csv, "--tribe-size", "4", "--out", str(out))
+        assert main(flags) == 1
+        assert capsys.readouterr().err.startswith("error: infeasible tribe layout: ")
+        assert not out.exists()
+        assert main([*flags, "--allow-infeasible"]) == 0
+        assert (out / "report.json").exists()
+
+    def test_nan_sigma_exits_one(self, blob_csv, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(run_flags(blob_csv, "--sigma", "nan", "--out", str(out))) == 1
+        assert "sigma must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_infinite_sigma_exits_one_even_when_infeasible_is_allowed(
+        self, blob_csv, tmp_path, capsys
+    ):
+        # A run would write "sigma": Infinity, which is not JSON, into the report.
+        out = tmp_path / "out"
+        flags = run_flags(blob_csv, "--sigma", "inf", "--allow-infeasible", "--out", str(out))
+        assert main(flags) == 1
+        assert "sigma must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_malformed_config_json_exits_one(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"
         config_path.write_text("{not json")

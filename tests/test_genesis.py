@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import chi2
 
 import tribefs as t
 from tribefs.genesis import _gaussian_quotas
@@ -172,6 +171,7 @@ class TestSampleIndividual:
 
     def test_positions_uniform_chi_square(self):
         # 10k singleton draws over 8 positions; fail only beyond the 99.9% point.
+        chi2 = pytest.importorskip("scipy.stats").chi2
         rng = np.random.default_rng(42)
         counts = np.zeros(8)
         draws = 10_000
@@ -217,9 +217,8 @@ class TestInitPopulation:
         )
 
     def test_infeasible_plan_refused_without_override(self):
-        plan = t.TribePlan.derive(10, tribe_size=4, n_tribes=3)
         with pytest.raises(t.InfeasiblePlanError):
-            t.init_population(plan, np.random.default_rng(0))
+            t.TribePlan.derive(10, tribe_size=4, n_tribes=3)
 
     def test_infeasible_plan_allowed_with_override(self):
         plan = t.TribePlan.derive(10, tribe_size=4, n_tribes=3, allow_infeasible=True)

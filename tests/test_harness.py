@@ -102,7 +102,7 @@ class TestRunConfig:
         assert variant.tribe_size == config.tribe_size
 
     def test_plan_reflects_overrides(self):
-        config = tiny_config(n_tribes=3, sigma=1.5)
+        config = tiny_config(n_tribes=3, sigma=1.5, allow_infeasible=True)
         plan = config.plan(12)
         assert plan.n_tribes == 3
         assert plan.sigma == 1.5

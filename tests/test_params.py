@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -143,6 +144,11 @@ class TestTribePlan:
         with pytest.raises(ValueError, match=f"{field} must be positive"):
             t.TribePlan(**fields)
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_rejects_non_finite_sigma(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
+            t.TribePlan.derive(9, tribe_size=600, sigma=sigma, allow_infeasible=True)
+
     def test_rejects_mean_count_mismatch(self):
         with pytest.raises(ValueError):
             t.TribePlan(
@@ -160,24 +166,36 @@ class TestValidatePlan:
         assert t.validate_plan(plan) == []
 
     def test_degenerate_sigma_flagged(self):
-        plan = t.TribePlan.derive(9, tribe_size=600, sigma=0.5)
+        plan = t.TribePlan.derive(9, tribe_size=600, sigma=0.5, allow_infeasible=True)
         notes = t.validate_plan(plan)
         assert any("0.7" in note for note in notes)
 
     def test_cap_violation_flagged(self):
-        plan = t.TribePlan.derive(9, tribe_size=10, n_tribes=3, sigma=1.0)
+        plan = t.TribePlan.derive(
+            9, tribe_size=10, n_tribes=3, sigma=1.0, allow_infeasible=True
+        )
         notes = t.validate_plan(plan)
         assert any("cap" in note for note in notes)
         # the numeric bound in the message is the per-member cap
         assert any(f"{t.SIGMA_CAP_COEFF * 10:.4f}" in note for note in notes)
 
     def test_below_lower_bound_flagged(self):
-        plan = t.TribePlan.derive(60, tribe_size=600, sigma=2.0)
+        plan = t.TribePlan.derive(60, tribe_size=600, sigma=2.0, allow_infeasible=True)
         notes = t.validate_plan(plan)
         assert any("lower bound" in note for note in notes)
 
     def test_empty_edge_bins_flagged(self):
         # A feasible sigma but a tiny tribe: the outer bins round to zero.
-        plan = t.TribePlan.derive(10, tribe_size=4, n_tribes=3, sigma=0.8333)
+        plan = t.TribePlan.derive(
+            10, tribe_size=4, n_tribes=3, sigma=0.8333, allow_infeasible=True
+        )
         notes = t.validate_plan(plan)
         assert any("edge cardinality" in note for note in notes)
+
+    def test_build_refuses_an_infeasible_plan_with_its_diagnostics(self):
+        plan = t.TribePlan.derive(10, tribe_size=4, n_tribes=3, allow_infeasible=True)
+        with pytest.raises(t.InfeasiblePlanError) as refusal:
+            dataclasses.replace(plan, allow_infeasible=False)
+        diagnostics = t.validate_plan(plan)
+        assert diagnostics
+        assert str(refusal.value) == "infeasible tribe layout: " + "; ".join(diagnostics)
