@@ -1,7 +1,9 @@
 """Core domain types for tribe-based feature selection.
 
 An individual is a fixed-length binary mask over the feature set: bit i set
-means feature i is part of the candidate subset. A tribe is an ordered list
+means feature i is part of the candidate subset. It is held packed, eight
+features per byte, and those bytes are its one key: its storage, its
+fitness-cache key and its tie-break order. A tribe is an ordered list
 of individuals whose selected-feature counts cluster around a target
 cardinality, and a population is the full collection of tribes. Everything
 here is a container or a pure query; the genetic operators that mutate state
@@ -11,7 +13,7 @@ live in :mod:`tribefs.evolution` and :mod:`tribefs.competition`.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,25 +35,25 @@ __all__ = [
 CountHistogram = dict[int, int]
 
 
-@dataclass(eq=False, slots=True)
 class Individual:
     """One candidate feature subset plus its cached fitness.
 
-    The mask is copied once into ``bytes`` and held as a read-only uint8
-    view of them, so no writable buffer aliases it and individuals can be
-    shared freely between tribes and selection draws; operators produce new
-    individuals instead of editing masks in place. ``count`` is the number
-    of selected features, computed once here; the mask cannot change, so it
-    never goes stale. ``fitness`` is the cross-validated accuracy in
-    percent, ``None`` until evaluated.
+    The subset is held packed, eight features per byte: feature i is bit
+    ``7 - i % 8`` of byte ``i // 8`` (``np.packbits``' big bit order), and
+    the pad bits past ``n_features`` are clear. Those bytes are the only
+    copy of the mask and are :meth:`key`: the fitness cache's key and the
+    final tie-break order. ``mask`` unpacks a fresh read-only array on each
+    access, so no caller can change the subset, and operators produce new
+    individuals instead of editing masks in place. Individuals can therefore
+    be shared freely between tribes and selection draws. ``count`` is the
+    number of selected features, taken once here. ``fitness`` is the
+    cross-validated accuracy in percent, ``None`` until evaluated.
     """
 
-    mask: np.ndarray
-    fitness: float | None = None
-    count: int = field(init=False, repr=False)
+    __slots__ = ("_packed", "n_features", "count", "fitness")
 
-    def __post_init__(self):
-        mask = np.asarray(self.mask)
+    def __init__(self, mask, fitness: float | None = None):
+        mask = np.asarray(mask)
         if mask.ndim != 1 or mask.size == 0:
             raise ValueError("mask must be a non-empty 1-D bit vector")
         if mask.dtype != np.uint8:
@@ -59,23 +61,58 @@ class Individual:
             if not np.isin(mask, (0, 1)).all():
                 raise ValueError("mask entries must be 0 or 1")
             mask = mask.astype(np.uint8)
-        raw = mask.tobytes()
-        # Branch-free, unlike bytes.count, which mispredicts on random masks.
-        if raw.translate(None, b"\x00\x01"):
+        # Checked before packing, which would turn a 2 into a 1.
+        elif mask.tobytes().translate(None, b"\x00\x01"):
             raise ValueError("mask entries must be 0 or 1")
-        count = int.from_bytes(raw, "little").bit_count()
+        self._seal(np.packbits(mask).tobytes(), mask.size)
+        self.fitness = fitness
+
+    @classmethod
+    def from_key(cls, key: bytes, n_features: int) -> "Individual":
+        """The individual whose :meth:`key` is ``key``, at ``n_features`` wide.
+
+        Operators build children this way, from integer operations on their
+        parents' keys; the key's length, its pad bits and its count are
+        checked as for a mask.
+        """
+        key = bytes(key)
+        if n_features < 1 or len(key) != (n_features + 7) // 8:
+            raise ValueError(
+                f"a key of {len(key)} bytes is not {n_features} features wide"
+            )
+        if key[-1] & (0xFF >> ((n_features - 1) % 8 + 1)):
+            raise ValueError("a key must leave the bits past its width clear")
+        individual = cls.__new__(cls)
+        individual._seal(key, n_features)
+        individual.fitness = None
+        return individual
+
+    def _seal(self, key: bytes, n_features: int) -> None:
+        count = int.from_bytes(key, "big").bit_count()
         if count == 0:
             raise ValueError("the empty feature subset is not admissible")
-        self.mask = np.frombuffer(raw, np.uint8)
+        self._packed = key
+        self.n_features = n_features
         self.count = count
 
     @property
-    def n_features(self) -> int:
-        return self.mask.size
+    def mask(self) -> np.ndarray:
+        """A fresh read-only uint8 0/1 array; writing to it cannot reach the subset."""
+        packed = np.frombuffer(self._packed, np.uint8)
+        mask = np.unpackbits(packed, count=self.n_features)
+        mask.setflags(write=False)
+        return mask
 
     def key(self) -> bytes:
-        """Hashable identity of the subset, and the order that breaks rank ties."""
-        return self.mask.tobytes()
+        """The packed mask: the fitness cache's key and the order that breaks ties.
+
+        At one width, keys order as the masks do lexicographically, so the
+        smallest key is the subset whose first differing feature is unset.
+        """
+        return self._packed
+
+    def __repr__(self) -> str:
+        return f"Individual({mask_to_string(self.mask)!r}, fitness={self.fitness!r})"
 
 
 @dataclass(eq=False)
@@ -96,7 +133,7 @@ class Tribe:
             raise ValueError("a tribe must contain at least one individual")
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
-        sizes = {ind.mask.size for ind in self.individuals}
+        sizes = {ind.n_features for ind in self.individuals}
         if len(sizes) != 1:
             raise ValueError("all individuals in a tribe must share one feature count")
 

@@ -6,14 +6,17 @@ and keeps it via a union-and-repair construction, and mutation only
 moves an individual between adjacent cardinality classes by simultaneously
 moving a partner the opposite way. Crossover builds only the child it keeps
 but still takes the mirror child's repair draw, so the random stream is
-that of building both. Children are spliced from their parents' bytes,
-which :class:`Individual` copies once and holds read-only. A generation is
-rank selection, matched crossover, paired mutation, evaluation, and elitist
-inheritance, in that order.
+that of building both. Children are built with integer operations on
+their parents' packed keys (:meth:`Individual.key`, eight features per
+byte); a mask is unpacked only where NumPy lists positions for a draw: a
+repair's unset positions and a mutation partner's candidate positions. A
+generation is rank selection, matched crossover, paired mutation,
+evaluation, and elitist inheritance, in that order.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import defaultdict, deque
 from dataclasses import dataclass
 
@@ -126,23 +129,45 @@ def count_preserving_crossover(
         raise ValueError("parents must share one cardinality")
     if not 1 <= cut_i <= n - 1:
         raise ValueError(f"cut must lie in [1, {n - 1}]")
-    raw_i, raw_j = parent_i.key(), parent_j.key()
-    # A byte per feature, so an integer over mask bytes has a bit per feature.
-    prefix_count = int.from_bytes(raw_i[:cut_i], "little").bit_count()
-    # Just past parent_j's prefix_count-th set bit.
-    cut_j = int(parent_j.mask.nonzero()[0][prefix_count - 1]) + 1 if prefix_count else 0
+    key_i = parent_i.key()
+    width = 8 * len(key_i)
+    # Feature p is bit width - 1 - p, so a prefix of the mask is the integer's high end.
+    bits_i = int.from_bytes(key_i, "big")
+    bits_j = int.from_bytes(parent_j.key(), "big")
+    prefix_count = (bits_i >> (width - cut_i)).bit_count()
+    cut_j = _prefix_end(bits_j, width, prefix_count)
     low, high = sorted((cut_i, cut_j))
-    window_i = int.from_bytes(raw_i[low:high], "little")
-    window_j = int.from_bytes(raw_j[low:high], "little")
-    doubled = (window_i & window_j).bit_count()
+    window = (1 << (width - low)) - (1 << (width - high))
+    doubled = (bits_i & bits_j & window).bit_count()
     # Between the cuts the child holds both parents' bits if cut_i is lower, else none.
-    mid = (window_i | window_j if cut_i < cut_j else 0).to_bytes(high - low, "little")
-    child = np.frombuffer(bytearray(raw_j[:low] + mid + raw_i[high:]), np.uint8)
+    middle = (bits_i | bits_j) & window if cut_i < cut_j else 0
+    prefix = (bits_j >> (width - low)) << (width - low)
+    child = prefix | middle | (bits_i & ((1 << (width - high)) - 1))
     if doubled and cut_i < cut_j:
-        child[rng.choice((child == 0).nonzero()[0], size=doubled, replace=False)] = 1
+        packed = np.frombuffer(child.to_bytes(width // 8, "big"), np.uint8)
+        unset = np.flatnonzero(np.unpackbits(packed, count=n) == 0)
+        for position in rng.choice(unset, size=doubled, replace=False).tolist():
+            child |= 1 << (width - 1 - position)
     elif doubled:
         rng.choice(n - parent_j.count + doubled, size=doubled, replace=False)
-    return Individual(child)
+    return Individual.from_key(child.to_bytes(width // 8, "big"), n)
+
+
+def _prefix_end(bits: int, width: int, count: int) -> int:
+    """Length of the shortest mask prefix holding ``count`` set bits.
+
+    ``bits`` is a key read as a big-endian integer ``width`` bits wide, so
+    the prefix of length ``end`` is ``bits >> (width - end)``. Its count
+    grows with ``end``, so a binary search finds the length, with no unpack.
+    """
+    low, high = 0, width
+    while low < high:
+        end = (low + high) // 2
+        if (bits >> (width - end)).bit_count() < count:
+            low = end + 1
+        else:
+            high = end
+    return low
 
 
 def paired_mutation(
@@ -158,41 +183,49 @@ def paired_mutation(
     way, so the class sizes are unchanged. The mutation is cancelled when no
     partner exists or when losing a bit would empty the subset.
 
-    Partners are looked up in a per-slot count vector built once from the
-    individuals' cached counts; a paired flip swaps the two slots' entries,
-    since mutant and partner trade classes. Candidates are taken in slot
-    order, so the draws match a scan of the whole tribe.
+    Partners are looked up in per-class lists of slots, built once from
+    the individuals' cached counts and kept in ascending slot order; a
+    paired flip moves mutant and partner into each other's class. So the
+    candidates are those of a scan of the whole tribe, in the same order,
+    and every draw matches.
     """
     individuals = list(tribe.individuals)
-    counts = np.array([ind.count for ind in individuals])
+    slots: dict[int, list[int]] = defaultdict(list)
+    for i, ind in enumerate(individuals):
+        slots[ind.count].append(i)
     n_features = tribe.n_features
     for i in range(len(individuals)):
         if rng.random() >= config.mutation_rate:
             continue
         position = int(rng.integers(n_features))
-        mask_i = individuals[i].mask
-        m = int(counts[i])
-        gaining = mask_i[position] == 0
+        mutant = individuals[i]
+        m = mutant.count
+        gaining = not mutant.key()[position // 8] >> (7 - position % 8) & 1
         if not gaining and m == 1:
             continue  # losing the only set bit would empty the subset
         partner_class = m + 1 if gaining else m - 1
-        partners = (counts == partner_class).nonzero()[0]
-        if partners.size == 0:
+        partners = slots.get(partner_class)
+        if not partners:
             continue
-        j = int(partners[rng.integers(partners.size)])
-        mask_j = individuals[j].mask
-        partner_positions = (mask_j == gaining).nonzero()[0]
+        k = int(rng.integers(len(partners)))
+        j = partners[k]
+        partner_positions = (individuals[j].mask == gaining).nonzero()[0]
         partner_position = int(partner_positions[rng.integers(partner_positions.size)])
-        individuals[i] = _flipped(individuals[i], position)
+        individuals[i] = _flipped(mutant, position)
         individuals[j] = _flipped(individuals[j], partner_position)
-        counts[i], counts[j] = partner_class, m
+        del partners[k]
+        insort(partners, i)
+        own = slots[m]
+        del own[bisect_left(own, i)]
+        insort(own, j)
     return Tribe(individuals=individuals, mu=tribe.mu, sigma=tribe.sigma)
 
 
 def _flipped(ind: Individual, position: int) -> Individual:
-    raw = ind.key()
-    flipped = raw[:position] + bytes((raw[position] ^ 1,)) + raw[position + 1 :]
-    return Individual(np.frombuffer(flipped, np.uint8))
+    key = ind.key()
+    width = 8 * len(key)
+    bits = int.from_bytes(key, "big") ^ (1 << (width - 1 - position))
+    return Individual.from_key(bits.to_bytes(len(key), "big"), ind.n_features)
 
 
 def evolve_generation(

@@ -425,15 +425,15 @@ def _subsample_rows(
     return np.sort(np.concatenate(kept))
 
 
-def resolve_mask(mask, n_features: int) -> np.ndarray:
-    """Accept an Individual or any 0/1 vector; return a validated mask."""
+def resolve_mask(mask, n_features: int) -> Individual:
+    """Accept an Individual or any 0/1 vector; return it as a validated Individual."""
     if not isinstance(mask, Individual):
         mask = Individual(mask)
     if mask.n_features != n_features:
         raise ValueError(
-            f"mask has shape {mask.mask.shape}, dataset has {n_features} features"
+            f"mask has shape ({mask.n_features},), dataset has {n_features} features"
         )
-    return mask.mask
+    return mask
 
 
 class _PreparedFolds:
@@ -528,21 +528,21 @@ def make_evaluator(
     The stratified fold plan and everything about the folds that does not
     depend on the mask (the standardized rows per fold, the pair machines'
     layout) are prepared once here and shared by every evaluation, and
-    results are memoized in ``cache`` when one is given, keyed on the
-    mask's ``np.packbits`` bytes.
+    results are memoized in ``cache`` when one is given, keyed on
+    :meth:`Individual.key`, the mask's ``np.packbits`` bytes.
     Evaluation errors propagate and leave no cache entry behind.
     """
     folds = _PreparedFolds(dataset, protocol)
 
     def evaluate(individual) -> float:
-        mask = resolve_mask(individual, dataset.n_features)
+        individual = resolve_mask(individual, dataset.n_features)
         if cache is None:
-            return folds.accuracy(mask)
-        key = np.packbits(mask).tobytes()  # exact at one width, and 8x smaller
+            return folds.accuracy(individual.mask)
+        key = individual.key()
         hit = cache.get(key)
         if hit is not None:
             return hit
-        value = folds.accuracy(mask)
+        value = folds.accuracy(individual.mask)
         cache.put(key, value)
         return value
 

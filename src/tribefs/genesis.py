@@ -243,7 +243,7 @@ def sample_individual(
     mask = np.zeros(n_features, dtype=np.uint8)
     positions = rng.choice(n_features, size=cardinality, replace=False)
     mask[positions] = 1
-    return Individual(mask)
+    return Individual.from_key(np.packbits(mask).tobytes(), n_features)
 
 
 def sample_counts(

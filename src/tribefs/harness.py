@@ -511,6 +511,8 @@ def sweep(
     Every point reuses the same master seed, so the sweep isolates the
     parameter. Sweeping ``n_tribes`` re-derives means and sigma for each
     count; explicit overrides would defeat the point, so they are rejected.
+    Every point's plan is built before the first run, so a value with an
+    infeasible layout raises a ConfigError before any point runs.
     """
     if parameter not in SWEEPABLE:
         raise ConfigError(f"can only sweep {SWEEPABLE}, not {parameter!r}")
@@ -520,11 +522,12 @@ def sweep(
         raise ConfigError("sweeping n_tribes requires derived means and sigma")
     if dataset is None:
         dataset = resolve_dataset(config)
-    points = []
-    for value in values:
-        point = config.replace(**{parameter: int(value)})
-        points.append((int(value), run_experiment(point, dataset)))
-    return points
+    points = [config.replace(**{parameter: int(value)}) for value in values]
+    for point in points:
+        point.plan(dataset.n_features)  # an infeasible layout fails before any run
+    return [
+        (getattr(point, parameter), run_experiment(point, dataset)) for point in points
+    ]
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 
 ``paired_mutation`` is the original quadratic partner scan: for every
 mutant it recounts the mask of every slot of the tribe. It makes the same
-random draws as the library's count-vector lookup, so the parity tests can
+random draws as the library's per-class slot lists, so the parity tests can
 demand identical tribes and identical generator states. ``count_selected``
 is the original mask popcount it scans with, so the reference does not
 rely on the count an ``Individual`` caches.

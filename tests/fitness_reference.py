@@ -99,7 +99,7 @@ def predict(model, X):
 
 def reference_kfold_accuracy(dataset, mask, protocol, fold_plan=None):
     """``kfold_accuracy`` as it was before the folds were prepared once."""
-    mask = resolve_mask(mask, dataset.n_features)
+    mask = resolve_mask(mask, dataset.n_features).mask
     if fold_plan is None:
         fold_plan = stratified_folds(dataset, protocol.folds, protocol.fold_seed)
     columns = np.flatnonzero(mask)

@@ -265,6 +265,28 @@ class TestSweepCommand:
         for value in (1, 2):
             assert (out / f"competition_interval-{value}" / "report.json").exists()
 
+    def test_infeasible_point_fails_before_any_run(
+        self, blob_csv, tmp_path, capsys, monkeypatch
+    ):
+        runs = []
+        run_experiment = t.harness.run_experiment
+        monkeypatch.setattr(
+            t.harness,
+            "run_experiment",
+            lambda *args: runs.append(args) or run_experiment(*args),
+        )
+        out = tmp_path / "sweep"
+        args = run_flags(blob_csv)
+        args[0] = "sweep"
+        # 9 tribes cannot fit 10 features at tribe size 100; 3 can.
+        code = main(
+            [*args, "--param", "n_tribes", "--values", "3,9", "--out", str(out)]
+        )
+        assert code == 1
+        assert "infeasible tribe layout" in capsys.readouterr().err
+        assert runs == []
+        assert not out.exists()
+
     def test_rejects_empty_values(self, blob_csv, capsys):
         args = run_flags(blob_csv)
         args[0] = "sweep"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -65,8 +67,8 @@ class TestIndividual:
         ]
         for mask in masks:
             ind = t.Individual(mask)
-            assert ind.key() == bytes([1, 0, 1])
-            assert ind.mask.dtype == np.uint8
+            assert ind.key() == bytes([0b1010_0000])
+            assert ind.mask.dtype == np.uint8 and ind.mask.tolist() == [1, 0, 1]
 
     @pytest.mark.parametrize(
         "raw,message",
@@ -80,6 +82,61 @@ class TestIndividual:
     def test_rejects_matrix(self):
         with pytest.raises(ValueError):
             t.Individual(np.ones((2, 2), dtype=np.uint8))
+
+    def test_key_order_is_the_mask_byte_order(self):
+        # Ties among equal fitness and count break on key(), as they did on mask bytes.
+        rng = np.random.default_rng(45)
+        for _ in range(20_000):
+            width = int(rng.integers(1, 300))
+            density = rng.random()
+            masks = [(rng.random(width) < density).astype(np.uint8) for _ in range(2)]
+            masks = [mask if mask.any() else 1 - mask for mask in masks]
+            a, b = (t.Individual(mask).key() for mask in masks)
+            raw_a, raw_b = (mask.tobytes() for mask in masks)
+            assert (a > b) - (a < b) == (raw_a > raw_b) - (raw_a < raw_b)
+
+    def test_writing_a_returned_mask_changes_nothing(self):
+        ind = t.Individual(t.mask_from_string("1011001100"))
+        key, count = ind.key(), ind.count
+        mask = ind.mask
+        mask.flags.writeable = True  # a fresh array: its owner may unlock it
+        mask[:] = 1
+        assert ind.key() == key and ind.count == count
+        assert t.mask_to_string(ind.mask) == "1011001100"
+
+    def test_individuals_hold_their_masks_packed(self):
+        # At 2000 features a byte per feature held about 2.1 MiB for these 1,000.
+        rng = np.random.default_rng(46)
+        cardinalities = rng.integers(1, 2001, size=1000).tolist()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            held = [t.sample_individual(2000, m, rng) for m in cardinalities]
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(held) == 1000
+        assert grown < 0.5 * 2**20
+
+    @pytest.mark.parametrize(
+        "key,width,message",
+        [
+            (bytes([0b1010_0000]), 9, "wide"),
+            (bytes([0b1010_0001]), 7, "past its width"),
+            (bytes([0, 0]), 16, "empty"),
+            (b"", 0, "wide"),
+        ],
+        ids=["short", "pad-bit", "all-zeros", "no-width"],
+    )
+    def test_from_key_validates(self, key, width, message):
+        with pytest.raises(ValueError, match=message):
+            t.Individual.from_key(key, width)
+
+    def test_from_key_round_trips(self):
+        ind = t.Individual(t.mask_from_string("1011001100"))
+        again = t.Individual.from_key(ind.key(), ind.n_features)
+        assert again.key() == ind.key() and again.count == ind.count == 5
+        assert again.fitness is None
 
     def test_key_identifies_subset(self):
         a = t.Individual(t.mask_from_string("101"))
@@ -112,15 +169,13 @@ class TestIndividual:
 
 
 def assert_sealed(ind):
-    """The mask is read-only, no writable buffer aliases it, and its count holds."""
+    """The mask is a read-only unpacking of the packed key, and its count holds."""
     mask = ind.mask
     assert mask.dtype == np.uint8 and not mask.flags.writeable
-    with pytest.raises(ValueError):
-        mask.flags.writeable = True
-    root = mask
-    while isinstance(root, np.ndarray) and root.base is not None:
-        root = root.base
-    assert type(root) is bytes
+    assert mask.size == ind.n_features
+    key = ind.key()
+    # packbits pads with zeros, so this also demands clear pad bits.
+    assert type(key) is bytes and key == np.packbits(mask).tobytes()
     assert ind.count == engine_reference.count_selected(ind)
 
 

@@ -385,7 +385,7 @@ def _assert_matches_reference(tribe, mutation_rate, seed):
 
 
 class TestPairedMutationMatchesReference:
-    """The count-vector lookup draws exactly as the quadratic partner scan."""
+    """The per-class slot lists draw exactly as the quadratic partner scan."""
 
     @settings(max_examples=50, deadline=None)
     @given(

@@ -644,7 +644,7 @@ class TestMakeEvaluator:
         for ind in masks:
             key = np.packbits(ind.mask).tobytes()
             assert len(key) == 250
-            assert key in cache and ind.key() not in cache
+            assert key in cache and ind.key() == key
 
     def test_errors_leave_no_cache_entry(self, blob_dataset):
         cache = t.FitnessCache()
