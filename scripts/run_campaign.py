@@ -41,13 +41,14 @@ LAYOUTS = [
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--data-dir", type=Path, default=Path("data"))
+    parser.add_argument("--data-dir", default=t.RunConfig.data_dir)
     parser.add_argument("--out", type=Path, default=Path("campaign"))
     parser.add_argument("--only", nargs="+", metavar="NAME",
                         help="run these datasets instead of all twenty")
     parser.add_argument("--runs", type=int, default=25)
-    parser.add_argument("--max-generations", type=int, default=100)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--max-generations", type=int,
+                        default=t.RunConfig.max_generations)
+    parser.add_argument("--seed", type=int, default=t.RunConfig.seed)
     args = parser.parse_args(argv)
 
     layouts = LAYOUTS
@@ -65,7 +66,7 @@ def main(argv=None):
     for name, size, means in layouts:
         config = t.RunConfig(
             dataset=name,
-            data_dir=str(args.data_dir),
+            data_dir=args.data_dir,
             tribe_size=size,
             n_tribes=len(means),
             means=means,

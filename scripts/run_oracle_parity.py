@@ -9,7 +9,6 @@ search scored identically, not merely a similar number.
 import argparse
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -20,16 +19,17 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--dataset", default="wbcd",
                         help="descriptor name or CSV path (default: wbcd)")
-    parser.add_argument("--data-dir", type=Path, default=Path("data"))
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--max-generations", type=int, default=100)
+    parser.add_argument("--data-dir", default=t.RunConfig.data_dir)
+    parser.add_argument("--seed", type=int, default=t.RunConfig.seed)
+    parser.add_argument("--max-generations", type=int,
+                        default=t.RunConfig.max_generations)
     parser.add_argument("--max-features", type=int, default=20,
                         help="refuse exhaustive searches above this width")
     args = parser.parse_args(argv)
 
     config = t.RunConfig(
         dataset=args.dataset,
-        data_dir=str(args.data_dir),
+        data_dir=args.data_dir,
         seed=args.seed,
         runs=1,
         max_generations=args.max_generations,

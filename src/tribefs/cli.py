@@ -116,7 +116,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group = fetch.add_mutually_exclusive_group(required=True)
     group.add_argument("--name", action="append", help="descriptor name (repeatable)")
     group.add_argument("--all", action="store_true", help="fetch every descriptor")
-    fetch.add_argument("--data-dir", default="data")
+    fetch.add_argument("--data-dir", default=RunConfig.data_dir)
     fetch.add_argument("--descriptors", help="alternative descriptor JSON file")
     fetch.add_argument("--force", action="store_true", help="re-download existing files")
     fetch.set_defaults(handler=_cmd_fetch)

@@ -382,6 +382,8 @@ class DatasetDescriptor:
     @classmethod
     def from_json(cls, name: str, raw: dict) -> "DatasetDescriptor":
         """Read one entry; its keys are CsvSchema's fields and this class's own."""
+        if not isinstance(raw, dict):
+            raise DataError(f"descriptor {name}: expected a JSON object, not {raw!r}")
         schema_fields = {f.name: f for f in fields(CsvSchema)}
         own = {f.name: f for f in fields(cls) if f.name not in ("name", "schema")}
         unknown = set(raw) - set(schema_fields) - set(own)
@@ -408,6 +410,8 @@ def load_descriptors(path=None) -> dict[str, DatasetDescriptor]:
         )
     else:
         raw = json.loads(Path(path).read_text())
+        if not isinstance(raw, dict):
+            raise DataError(f"{path}: expected a JSON object of named descriptors")
     return {
         name: DatasetDescriptor.from_json(name, entry) for name, entry in raw.items()
     }
@@ -415,7 +419,8 @@ def load_descriptors(path=None) -> dict[str, DatasetDescriptor]:
 
 def _descriptor(name: str, descriptors: dict | None) -> DatasetDescriptor:
     """``name``'s entry in ``descriptors`` (the bundled table by default)."""
-    descriptors = descriptors or load_descriptors()
+    if descriptors is None:
+        descriptors = load_descriptors()
     if name not in descriptors:
         known = ", ".join(sorted(descriptors))
         raise DataError(f"unknown dataset {name!r}; known: {known}")

@@ -76,17 +76,17 @@ class RunConfig:
     means: tuple[int, ...] | None = None
     sigma: float | None = None
     allow_infeasible: bool = False
-    classifier: str = "linear-svm"
-    folds: int = 10
-    fold_seed: int = 0
-    regularization: float = 1.0
-    subsample: float | None = None
-    crossover_rate: float = 0.9
-    mutation_rate: float = 0.1
-    selection_pressure: float = 1.8
-    competition_interval: int = 2
-    stake: int = 1
-    min_tribe_size: int = 2
+    classifier: str = FitnessProtocol.classifier
+    folds: int = FitnessProtocol.folds
+    fold_seed: int = FitnessProtocol.fold_seed
+    regularization: float = FitnessProtocol.regularization
+    subsample: float | None = FitnessProtocol.subsample
+    crossover_rate: float = EvolutionConfig.crossover_rate
+    mutation_rate: float = EvolutionConfig.mutation_rate
+    selection_pressure: float = EvolutionConfig.selection_pressure
+    competition_interval: int = CompetitionConfig.interval
+    stake: int = CompetitionConfig.stake
+    min_tribe_size: int = CompetitionConfig.min_tribe_size
     max_generations: int = 100
     patience: int = 30
     seed: int = 0
@@ -119,12 +119,7 @@ class RunConfig:
         self.protocol()
 
     def evolution(self) -> EvolutionConfig:
-        return _checked(
-            EvolutionConfig,
-            crossover_rate=self.crossover_rate,
-            mutation_rate=self.mutation_rate,
-            selection_pressure=self.selection_pressure,
-        )
+        return _checked(EvolutionConfig, **self._same_named(EvolutionConfig))
 
     def competition(self) -> CompetitionConfig:
         return _checked(
@@ -135,14 +130,11 @@ class RunConfig:
         )
 
     def protocol(self) -> FitnessProtocol:
-        return _checked(
-            FitnessProtocol,
-            classifier=self.classifier,
-            folds=self.folds,
-            fold_seed=self.fold_seed,
-            regularization=self.regularization,
-            subsample=self.subsample,
-        )
+        return _checked(FitnessProtocol, **self._same_named(FitnessProtocol))
+
+    def _same_named(self, part) -> dict:
+        """This config's values of the dataclass ``part``'s fields, by name."""
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(part)}
 
     def plan(self, n_features: int) -> TribePlan:
         return _checked(
@@ -605,6 +597,8 @@ def paired_t_test(a, b) -> TTestResult:
         raise ValueError("paired vectors must be 1-D and equally long")
     if a.size < 2:
         raise ValueError("need at least two pairs")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("accuracy vectors contain non-finite values")
     differences = a - b
     spread = float(differences.std(ddof=1))
     mean = float(differences.mean())

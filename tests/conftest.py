@@ -1,6 +1,7 @@
 """Shared fixtures: synthetic datasets and tribe builders."""
 
 import hashlib
+import urllib.request
 
 import numpy as np
 import pytest
@@ -44,6 +45,16 @@ def surrogate_fitness(individual):
     mask = individual.mask if isinstance(individual, t.Individual) else individual
     digest = hashlib.sha256(mask.tobytes()).digest()
     return 50.0 + int.from_bytes(digest[:4], "big") % 5000 / 100.0
+
+
+@pytest.fixture
+def no_download(monkeypatch):
+    """Fail any download instead of reaching the network."""
+
+    def refuse(url):
+        raise AssertionError(f"tried to download {url}")
+
+    monkeypatch.setattr(urllib.request, "urlopen", refuse)
 
 
 @pytest.fixture

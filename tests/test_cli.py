@@ -385,6 +385,17 @@ class TestStatsCommands:
         assert code == 1
         assert "method not in matrix" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command",
+        [["friedman"], ["ttest", "--method-a", "alpha", "--method-b", "beta"]],
+        ids=["friedman", "ttest"],
+    )
+    def test_non_finite_cell_exits_one(self, tmp_path, capsys, command):
+        path = tmp_path / "nan.csv"
+        path.write_text("method,wine,zoo\nalpha,97.0,nan\nbeta,96.0,94.0\n")
+        assert main(["stats", command[0], str(path), *command[1:]]) == 1
+        assert "non-finite" in capsys.readouterr().err
+
     def test_malformed_matrix_exits_one(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("method,wine\nalpha,ninety\n")
@@ -509,3 +520,34 @@ class TestFetchCommand:
         ])
         assert code == 1
         assert "unknown dataset" in capsys.readouterr().err
+
+    def test_empty_descriptor_table_exits_one(self, tmp_path, capsys, no_download):
+        desc = tmp_path / "empty.json"
+        desc.write_text("{}")
+        code = main([
+            "fetch-data", "--name", "wbcd",
+            "--data-dir", str(tmp_path / "data"),
+            "--descriptors", str(desc),
+        ])
+        assert code == 1
+        assert "unknown dataset 'wbcd'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[]", "table.json: expected a JSON object of named descriptors"),
+            ('{"x": 5}', "descriptor x: expected a JSON object"),
+        ],
+    )
+    def test_descriptor_file_not_an_object_of_objects_exits_one(
+        self, tmp_path, capsys, text, message
+    ):
+        desc = tmp_path / "table.json"
+        desc.write_text(text)
+        code = main([
+            "fetch-data", "--all",
+            "--data-dir", str(tmp_path / "data"),
+            "--descriptors", str(desc),
+        ])
+        assert code == 1
+        assert message in capsys.readouterr().err

@@ -279,6 +279,29 @@ class TestDescriptors:
         with pytest.raises(t.DataError, match=r"missing keys \['expected_instances'\]"):
             t.load_descriptors(path)
 
+    @pytest.mark.parametrize(
+        "table, message",
+        [
+            ([], "expected a JSON object of named descriptors"),
+            ({"x": 5}, "descriptor x: expected a JSON object, not 5"),
+            ({"x": ["url"]}, "descriptor x: expected a JSON object"),
+        ],
+    )
+    def test_a_table_that_is_not_an_object_of_objects_is_rejected(
+        self, tmp_path, table, message
+    ):
+        path = tmp_path / "descriptors.json"
+        path.write_text(json.dumps(table))
+        with pytest.raises(t.DataError, match=message):
+            t.load_descriptors(path)
+
+    def test_an_empty_table_knows_no_dataset(self, tmp_path, no_download):
+        # An empty table is a table, not a request for the bundled one.
+        with pytest.raises(t.DataError, match="unknown dataset 'wbcd'"):
+            t.fetch_dataset("wbcd", tmp_path, descriptors={})
+        with pytest.raises(t.DataError, match="unknown dataset 'wbcd'"):
+            t.load_named("wbcd", tmp_path, descriptors={})
+
     def test_keys_default_to_the_schema_defaults(self):
         desc = t.DatasetDescriptor.from_json(
             "x", {"url": "u", "expected_features": 1, "expected_instances": 2,

@@ -352,6 +352,13 @@ class TestPairedTTest:
         with pytest.raises(ValueError):
             t.paired_t_test([1.0], [2.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_accuracies(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            t.paired_t_test([90.0, bad, 92.0], [89.0, 90.0, 93.0])
+        with pytest.raises(ValueError, match="non-finite"):
+            t.paired_t_test([90.0, 91.0, 92.0], [89.0, 90.0, bad])
+
 
 def test_significance_tests_without_scipy_name_the_extra(monkeypatch):
     monkeypatch.setitem(sys.modules, "scipy", None)  # as if not installed
