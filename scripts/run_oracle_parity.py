@@ -23,8 +23,9 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=t.RunConfig.seed)
     parser.add_argument("--max-generations", type=int,
                         default=t.RunConfig.max_generations)
-    parser.add_argument("--max-features", type=int, default=20,
-                        help="refuse exhaustive searches above this width")
+    parser.add_argument("--max-features", type=int, default=t.MAX_ORACLE_FEATURES,
+                        help="refuse exhaustive searches above this width "
+                        "(default: %(default)s)")
     args = parser.parse_args(argv)
 
     config = t.RunConfig(

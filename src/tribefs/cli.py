@@ -31,7 +31,7 @@ from .harness import (
     run_experiment,
     sweep,
 )
-from .oracle import exhaustive_best_subset
+from .oracle import MAX_ORACLE_FEATURES, exhaustive_best_subset
 
 USAGE_EXIT = 1
 RUNTIME_EXIT = 2
@@ -81,8 +81,9 @@ def _build_parser() -> argparse.ArgumentParser:
     oracle.add_argument(
         "--max-features",
         type=int,
-        default=20,
-        help="refuse exhaustive search beyond this many features",
+        default=MAX_ORACLE_FEATURES,
+        help="refuse exhaustive search beyond this many features "
+        "(default: %(default)s)",
     )
     oracle.add_argument("--out", help="file for the oracle result JSON")
     oracle.set_defaults(handler=_cmd_oracle)

@@ -15,20 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    Population,
-    Tribe,
-    best_index,
-    best_individual,
-    count_selected,
-    histogram,
-    rank_key,
-)
+from .core import Population, Tribe, best_index, best_individual, histogram, rank_key
 from .genesis import allocate_counts, sample_counts
 
 __all__ = [
     "CompetitionConfig",
-    "CompetitionRecord",
     "rank_tribes",
     "apply_competition",
 ]
@@ -51,15 +42,6 @@ class CompetitionConfig:
             raise ValueError("min_tribe_size must be positive")
 
 
-@dataclass(frozen=True)
-class CompetitionRecord:
-    """Telemetry for one applied contest."""
-
-    winner: int
-    loser: int
-    sizes: tuple[int, ...]
-
-
 def rank_tribes(population: Population) -> list[int]:
     """Tribe indices from strongest to weakest.
 
@@ -79,21 +61,23 @@ def _resize_tribe(
     rng: np.random.Generator,
 ) -> Tribe:
     """Grow or shrink a tribe to ``new_size`` while keeping its best member."""
+    individuals = tribe.individuals
     elite_idx = best_index(tribe)
-    keep = count_selected(tribe.individuals[elite_idx])
+    keep = individuals[elite_idx].count
     target = allocate_counts(tribe.n_features, tribe.mu, tribe.sigma, new_size, keep)
     current = histogram(tribe)
     doomed: set[int] = set()
     for m, have in current.items():
         surplus = have - target.get(m, 0)
         if surplus > 0:
-            # Weakest members of the bin leave; the tribe's best never does.
-            members = sorted(
-                (ind.fitness, idx)
-                for idx, ind in enumerate(tribe.individuals)
-                if idx != elite_idx and count_selected(ind) == m
-            )
-            doomed.update(idx for _, idx in members[:surplus])
+            # The weakest of the bin leave, the tribe's best never. A bin is one
+            # cardinality, so rank_key orders it by fitness alone; the reversed
+            # stable sort puts the weakest first and, among ties, the lower slot.
+            peers = [
+                i for i, ind in enumerate(individuals) if ind.count == m and i != elite_idx
+            ]
+            peers.sort(key=lambda i: rank_key(individuals[i]), reverse=True)
+            doomed.update(peers[:surplus])
     missing = {
         m: want - current.get(m, 0)
         for m, want in target.items()
@@ -102,9 +86,7 @@ def _resize_tribe(
     newcomers = sample_counts(tribe.n_features, missing, rng)
     for ind in newcomers:
         ind.fitness = fitness_fn(ind)
-    survivors = [
-        ind for idx, ind in enumerate(tribe.individuals) if idx not in doomed
-    ]
+    survivors = [ind for idx, ind in enumerate(individuals) if idx not in doomed]
     return Tribe(individuals=survivors + newcomers, mu=tribe.mu, sigma=tribe.sigma)
 
 
@@ -113,13 +95,13 @@ def apply_competition(
     config: CompetitionConfig,
     fitness_fn,
     rng: np.random.Generator,
-) -> tuple[Population, CompetitionRecord | None]:
-    """Run one contest; return the new population and its record.
+) -> tuple[Population, tuple[int, int] | None]:
+    """Run one contest; return the new population and ``(winner, loser)``.
 
     The strongest tribe gains ``stake`` members and the weakest tribe that
-    would not fall below ``min_tribe_size`` gives up the same number. When
-    the stake is zero, or no tribe can afford it, the population is
-    returned unchanged with no record.
+    would not fall below ``min_tribe_size`` gives up the same number; both
+    are tribe indices. When the stake is zero, or no tribe can afford it,
+    the population is returned unchanged with ``None``.
     """
     if config.stake == 0:
         return population, None
@@ -141,8 +123,4 @@ def apply_competition(
     tribes[loser] = _resize_tribe(
         tribes[loser], tribes[loser].size - config.stake, fitness_fn, rng
     )
-    resized = Population(tribes=tribes)
-    record = CompetitionRecord(
-        winner=winner, loser=loser, sizes=tuple(t.size for t in resized.tribes)
-    )
-    return resized, record
+    return Population(tribes=tribes), (winner, loser)

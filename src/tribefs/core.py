@@ -166,16 +166,17 @@ class Population:
 
 
 def count_selected(individual: Individual) -> int:
-    """Number of features the individual selects (popcount of the mask).
+    """Number of features the individual selects: :attr:`Individual.count`.
 
-    O(1): the count is taken once, when the individual is built.
+    The package itself reads ``count``; this alias is kept for the benchmark,
+    which still calls it.
     """
     return individual.count
 
 
 def histogram(tribe: Tribe) -> CountHistogram:
     """Selected-count histogram of a tribe, zero bins omitted."""
-    return dict(Counter(count_selected(ind) for ind in tribe.individuals))
+    return dict(Counter(ind.count for ind in tribe.individuals))
 
 
 def rank_key(individual: Individual) -> tuple[float, int]:

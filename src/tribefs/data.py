@@ -15,6 +15,8 @@ import csv
 import hashlib
 import json
 import math
+import types
+import typing
 import warnings
 from dataclasses import MISSING, dataclass, field, fields
 from importlib import resources
@@ -381,7 +383,11 @@ class DatasetDescriptor:
 
     @classmethod
     def from_json(cls, name: str, raw: dict) -> "DatasetDescriptor":
-        """Read one entry; its keys are CsvSchema's fields and this class's own."""
+        """Read one entry; its keys are CsvSchema's fields and this class's own.
+
+        Each value must have its field's type, a list standing for a tuple;
+        anything else is a DataError that names the entry and the key.
+        """
         if not isinstance(raw, dict):
             raise DataError(f"descriptor {name}: expected a JSON object, not {raw!r}")
         schema_fields = {f.name: f for f in fields(CsvSchema)}
@@ -389,17 +395,32 @@ class DatasetDescriptor:
         unknown = set(raw) - set(schema_fields) - set(own)
         if unknown:
             raise DataError(f"descriptor {name}: unknown keys {sorted(unknown)}")
+        hints = {**typing.get_type_hints(CsvSchema), **typing.get_type_hints(cls)}
+        raw = {key: _json_value(name, key, hints[key], v) for key, v in raw.items()}
         values = {"title": name, "filename": f"{name}.csv"}
         values.update((key, raw[key]) for key in own if key in raw)
         missing = [k for k, f in own.items() if f.default is MISSING and k not in values]
         if missing:
             raise DataError(f"descriptor {name}: missing keys {missing}")
-        schema = CsvSchema(**{
-            key: tuple(raw[key]) if isinstance(f.default, tuple) else raw[key]
-            for key, f in schema_fields.items()
-            if key in raw
-        })
+        schema = CsvSchema(**{key: raw[key] for key in schema_fields if key in raw})
         return cls(name=name, schema=schema, **values)
+
+
+def _json_value(entry: str, key: str, hint, value):
+    """``value`` read from JSON for the field ``key: hint``; a list becomes a tuple.
+
+    Types match exactly, so ``true`` is no int and ``1.0`` no int either.
+    """
+    options = typing.get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
+    for option in options:
+        if typing.get_origin(option) is tuple:
+            item = typing.get_args(option)[0]
+            if type(value) is list and all(type(v) is item for v in value):
+                return tuple(value)
+        elif type(value) is option:
+            return value
+    expected = hint.__name__ if isinstance(hint, type) else hint
+    raise DataError(f"descriptor {entry}: {key} must be {expected}, not {value!r}")
 
 
 def load_descriptors(path=None) -> dict[str, DatasetDescriptor]:

@@ -11,7 +11,8 @@ their parents' packed keys (:meth:`Individual.key`, eight features per
 byte); a mask is unpacked only where NumPy lists positions for a draw: a
 repair's unset positions and a mutation partner's candidate positions. A
 generation is rank selection, matched crossover, paired mutation,
-evaluation, and elitist inheritance, in that order.
+evaluation, and elitist inheritance, in that order. Best and weakest are
+both read off :func:`~tribefs.core.rank_key`, ties going to the lower slot.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Individual, Tribe, best_index, count_selected
+from .core import Individual, Tribe, best_index, best_individual, rank_key
 
 __all__ = [
     "EvolutionConfig",
@@ -81,13 +82,7 @@ def rank_selection(
     The tribe's best individual is guaranteed to appear at least once: when
     the draw misses it, it replaces one uniformly chosen slot.
     """
-    return _draw_by_rank(tribe, best_index(tribe), config, rng)
-
-
-def _draw_by_rank(
-    tribe: Tribe, elite: int, config: EvolutionConfig, rng: np.random.Generator
-) -> list[Individual]:
-    """:func:`rank_selection` for a caller that has ranked the tribe already."""
+    elite = best_index(tribe)
     fitnesses = np.array([ind.fitness for ind in tribe.individuals])
     probs = selection_probabilities(fitnesses, config.selection_pressure)
     n = tribe.size
@@ -247,18 +242,16 @@ def evolve_generation(
     its own cardinality class, so the best fitness never decreases and the
     histogram never changes.
     """
-    elite = best_index(tribe)  # raises on an unevaluated tribe
-    previous_best = tribe.individuals[elite]
+    previous_best = best_individual(tribe)  # raises on an unevaluated tribe
     n_features = tribe.n_features
 
-    selected = _draw_by_rank(tribe, elite, config, rng)
     pools: dict[int, deque[Individual]] = defaultdict(deque)
-    for ind in selected:
-        pools[count_selected(ind)].append(ind)
+    for ind in rank_selection(tribe, config, rng):
+        pools[ind.count].append(ind)
 
     successors = list(tribe.individuals)
     for i, original in enumerate(tribe.individuals):
-        pool = pools.get(count_selected(original))
+        pool = pools.get(original.count)
         if not pool:
             continue
         partner = pool.popleft()
@@ -276,12 +269,10 @@ def evolve_generation(
         if ind.fitness is None:
             ind.fitness = fitness_fn(ind)
 
-    elite_class = count_selected(previous_best)
-    candidates = [
-        i
-        for i, ind in enumerate(mutated.individuals)
-        if count_selected(ind) == elite_class
-    ]
-    weakest = min(candidates, key=lambda i: (mutated.individuals[i].fitness, i))
-    mutated.individuals[weakest] = previous_best
+    # One cardinality, so rank_key orders the class by fitness alone: the
+    # weakest is the last in that order, and max keeps the lowest such slot.
+    individuals = mutated.individuals
+    peers = [i for i, ind in enumerate(individuals) if ind.count == previous_best.count]
+    weakest = max(peers, key=lambda i: rank_key(individuals[i]))
+    individuals[weakest] = previous_best
     return mutated

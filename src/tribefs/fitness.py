@@ -113,8 +113,6 @@ class LinearSVM:
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         decisions = X @ self.weights.T + self.biases
-        if self.classes.size == 2:  # one machine, whose winner has the only vote
-            return self.classes[np.where(decisions[:, 0] >= 0.0, 0, 1)]
         swing, base = _ballot(self.pairs, self.classes.size)
         votes = (decisions >= 0.0) @ swing + base  # boundaries go to the first class
         return self.classes[np.argmax(votes, axis=1)]  # vote ties go low too

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .competition import CompetitionConfig, CompetitionRecord, apply_competition
+from .competition import CompetitionConfig, apply_competition
 from .core import Individual, Population, best_individual, mask_to_string, rank_key
 from .data import (
     DataError,
@@ -386,18 +386,19 @@ def generations(
     config: RunConfig,
     evaluate,
     seed: np.random.SeedSequence,
-) -> Iterator[tuple[int, Population, CompetitionRecord | None]]:
+) -> Iterator[tuple[int, Population, CompetitionEvent | None]]:
     """The search: seed the tribes, then evolve them one generation at a time.
 
-    Yields ``(generation, population, record)`` for the evaluated initial
-    population (generation 0, no record) and after each of the
+    Yields ``(generation, population, event)`` for the evaluated initial
+    population (generation 0, no event) and after each of the
     ``config.max_generations`` generations, in which every tribe evolves
     once and, every ``competition_interval`` generations, the tribes hold a
-    contest; ``record`` is that contest's :class:`CompetitionRecord`, or
-    ``None``. The init, evolution and contest streams are spawned from a
-    copy of ``seed``, which is left as it was, so equal seeds, or one seed
-    passed twice, yield equal populations. There is no stop rule: callers
-    ``break`` (on patience, a target accuracy, ...).
+    contest; ``event`` is the :class:`CompetitionEvent` that
+    :attr:`RunResult.competitions` stores for a contest that moved
+    individuals, else ``None``. The init, evolution and contest streams are
+    spawned from a copy of ``seed``, which is left as it was, so equal seeds,
+    or one seed passed twice, yield equal populations. There is no stop
+    rule: callers ``break`` (on patience, a target accuracy, ...).
 
     The operators are looked up as this module's globals on every call, so
     tracing can rebind ``tribefs.harness.init_population``,
@@ -424,12 +425,15 @@ def generations(
                 for tribe in population.tribes
             ]
         )
-        record = None
+        event = None
         if generation % competition.interval == 0:
-            population, record = apply_competition(
+            population, outcome = apply_competition(
                 population, competition, evaluate, contest_rng
             )
-        yield generation, population, record
+            if outcome is not None:
+                sizes = tuple(tribe.size for tribe in population.tribes)
+                event = CompetitionEvent(generation, *outcome, sizes)
+        yield generation, population, event
 
 
 def _single_run(
@@ -446,16 +450,9 @@ def _single_run(
     history: list[GenerationRecord] = []
     events: list[CompetitionEvent] = []
     last_improvement = 0
-    for generation, population, record in generations(plan, config, evaluate, seed):
-        if record is not None:
-            events.append(
-                CompetitionEvent(
-                    generation=generation,
-                    winner=record.winner,
-                    loser=record.loser,
-                    sizes=record.sizes,
-                )
-            )
+    for generation, population, event in generations(plan, config, evaluate, seed):
+        if event is not None:
+            events.append(event)
         tribe_best = [best_individual(tribe) for tribe in population.tribes]
         # Full ties keep the incumbent: min returns the first minimal item.
         challenger = min(

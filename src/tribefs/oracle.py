@@ -16,7 +16,10 @@ from .core import Individual, rank_key
 from .data import Dataset
 from .fitness import FitnessCache, FitnessProtocol, make_evaluator
 
-__all__ = ["OracleResult", "exhaustive_best_subset"]
+__all__ = ["MAX_ORACLE_FEATURES", "OracleResult", "exhaustive_best_subset"]
+
+# The widest search run without insisting: 2^20 - 1 subsets.
+MAX_ORACLE_FEATURES = 20
 
 
 @dataclass(frozen=True)
@@ -32,7 +35,7 @@ class OracleResult:
 def exhaustive_best_subset(
     dataset: Dataset,
     protocol: FitnessProtocol = FitnessProtocol(),
-    max_features: int = 20,
+    max_features: int = MAX_ORACLE_FEATURES,
     cache: FitnessCache | None = None,
 ) -> OracleResult:
     """Score all 2^N - 1 subsets and return the best.

@@ -48,6 +48,12 @@ def surrogate_fitness(individual):
 
 
 @pytest.fixture
+def scipy_stats():
+    """SciPy's stats module; a test that asks for it skips without SciPy."""
+    return pytest.importorskip("scipy.stats")
+
+
+@pytest.fixture
 def no_download(monkeypatch):
     """Fail any download instead of reaching the network."""
 

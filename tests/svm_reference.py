@@ -12,7 +12,6 @@ was cut, kept verbatim: the engine's solver must return the same bits.
 import itertools
 
 import numpy as np
-from scipy.optimize import minimize
 
 import tribefs as t
 
@@ -26,6 +25,8 @@ def _solve_margin(
     smooth squared-hinge objective; stops on relative objective change below
     1e-12 or the iteration cap, whichever first.
     """
+    from scipy.optimize import minimize
+
     d = X.shape[1]
 
     def objective(v):

@@ -14,7 +14,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.stats import chi2
 
 import tribefs as t
 
@@ -310,6 +309,7 @@ def test_repeat_run_stability(capsys):
 
 def test_rank_statistics(capsys):
     with criterion(capsys, "rank-statistics"):
+        chi2 = pytest.importorskip("scipy.stats").chi2
         # Reference mapping: a chi-square statistic of 5.47 at one degree of
         # freedom corresponds to p = 0.0193, the same survival function the
         # rank test applies to its own statistic.

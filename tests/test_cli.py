@@ -345,6 +345,13 @@ class TestOracleCommand:
         assert main(["oracle", "--folds", "3"]) == 1
         assert "config names no dataset" in capsys.readouterr().err
 
+    def test_max_features_defaults_to_the_oracle_limit(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["oracle", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert f"(default: {t.MAX_ORACLE_FEATURES})" in help_text
+        assert t.MAX_ORACLE_FEATURES == 20
+
     def test_oracle_refusal_exits_one(self, tmp_path, capsys):
         dataset = make_blobs(n_per_class=3, n_features=22, seed=3)
         path = tmp_path / "wide.csv"
@@ -363,12 +370,14 @@ class TestStatsCommands:
         )
         return path
 
+    @pytest.mark.usefixtures("scipy_stats")
     def test_friedman(self, tmp_path, capsys):
         assert main(["stats", "friedman", str(self.write_matrix(tmp_path))]) == 0
         stdout = capsys.readouterr().out
         assert "chi2 = 3.0000" in stdout
         assert "alpha: average rank 2.000" in stdout
 
+    @pytest.mark.usefixtures("scipy_stats")
     def test_ttest(self, tmp_path, capsys):
         code = main([
             "stats", "ttest", str(self.write_matrix(tmp_path)),
@@ -390,6 +399,7 @@ class TestStatsCommands:
         [["friedman"], ["ttest", "--method-a", "alpha", "--method-b", "beta"]],
         ids=["friedman", "ttest"],
     )
+    @pytest.mark.usefixtures("scipy_stats")
     def test_non_finite_cell_exits_one(self, tmp_path, capsys, command):
         path = tmp_path / "nan.csv"
         path.write_text("method,wine,zoo\nalpha,97.0,nan\nbeta,96.0,94.0\n")
@@ -551,3 +561,28 @@ class TestFetchCommand:
         ])
         assert code == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("drop_columns", 5, "drop_columns must be tuple[int, ...], not 5"),
+            ("missing_values", ["?", 0], "missing_values must be tuple[str, ...]"),
+            ("label_column", True, "label_column must be int | str, not True"),
+            ("expected_features", 13.0, "expected_features must be int, not 13.0"),
+            ("header", "yes", "header must be bool, not 'yes'"),
+            ("sha256", 7, "sha256 must be str | None, not 7"),
+        ],
+    )
+    def test_wrong_typed_descriptor_value_exits_one(
+        self, tmp_path, capsys, key, value, message
+    ):
+        entry = {"url": "u", "expected_features": 1, "expected_instances": 1}
+        desc = tmp_path / "table.json"
+        desc.write_text(json.dumps({"x": {**entry, key: value}}))
+        code = main([
+            "fetch-data", "--all",
+            "--data-dir", str(tmp_path / "data"),
+            "--descriptors", str(desc),
+        ])
+        assert code == 1
+        assert f"descriptor x: {message}" in capsys.readouterr().err

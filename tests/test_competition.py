@@ -81,13 +81,10 @@ class TestApplyCompetition:
         result, record = t.apply_competition(
             population, config, surrogate_fitness, np.random.default_rng(1)
         )
-        assert record is not None
-        assert record.winner == 1
-        assert record.loser == 2
+        assert record == (1, 2)
         assert result.tribes[1].size == sizes[1] + 1
         assert result.tribes[2].size == sizes[2] - 1
         assert result.tribes[0].size == sizes[0]
-        assert record.sizes == tuple(tribe.size for tribe in result.tribes)
 
     def test_population_total_conserved(self):
         population = make_population([88.0, 92.0, 85.0, 90.0])
@@ -111,8 +108,7 @@ class TestApplyCompetition:
         result, record = t.apply_competition(
             population, config, surrogate_fitness, np.random.default_rng(3)
         )
-        assert record.winner == 0
-        assert record.loser == 2
+        assert record == (0, 2)
         assert result.tribes[3].size == 2
 
     def test_no_affordable_loser_is_identity(self):
@@ -152,7 +148,7 @@ class TestApplyCompetition:
         result, record = t.apply_competition(
             population, config, surrogate_fitness, np.random.default_rng(6)
         )
-        for idx in (record.winner, record.loser):
+        for idx in record:
             before = population.tribes[idx]
             tribe = result.tribes[idx]
             elite = before.individuals[t.best_index(before)]
@@ -171,7 +167,7 @@ class TestApplyCompetition:
             result, record = t.apply_competition(
                 population, t.CompetitionConfig(), surrogate_fitness, rng
             )
-            assert record.loser == loser_idx
+            assert record[1] == loser_idx
             survivors = result.tribes[loser_idx].individuals
             assert any(
                 np.array_equal(ind.mask, elite.mask) and ind.fitness == elite.fitness
@@ -194,7 +190,7 @@ class TestApplyCompetition:
         result, record = t.apply_competition(
             population, t.CompetitionConfig(), surrogate_fitness, np.random.default_rng(8)
         )
-        assert record.loser == 1
+        assert record[1] == 1
         shrunk = result.tribes[1]
         elite_mask = tribe.individuals[outlier].mask
         assert any(np.array_equal(ind.mask, elite_mask) for ind in shrunk.individuals)
@@ -206,7 +202,7 @@ class TestApplyCompetition:
         result, record = t.apply_competition(
             population, t.CompetitionConfig(), surrogate_fitness, np.random.default_rng(9)
         )
-        assert record.loser == 1
+        assert record[1] == 1
         elite = loser.individuals[t.best_index(loser)]
         target = t.allocate_counts(
             loser.n_features, loser.mu, loser.sigma, loser.size - 1, keep=elite.count
@@ -257,3 +253,19 @@ class TestResizeTribe:
         assert [ind.key() for ind in resized.individuals] == [
             ind.key() for ind in tribe.individuals
         ]
+
+    def test_shrink_evicts_the_lowest_slots_of_a_tie(self):
+        # Bins 4, 5 and 6 hold slots 0-3, 4-9 and 10-13. Each bin's first slot
+        # scores 80 and the rest tie on 50, but for the tribe's best at slot 5.
+        # Shrinking to 11 leaves 2, 3 and 2 of them, so every bin evicts some of
+        # its tied members and keeps others: the lower slots go first.
+        tribe = make_tribe({4: 4, 5: 6, 6: 4}, n_features=10, mu=5.0, sigma=1.5, seed=12)
+        for slot, ind in enumerate(tribe.individuals):
+            ind.fitness = 80.0 if slot in (0, 4, 10) else 50.0
+        tribe.individuals[5].fitness = 95.0
+        resized = _resize_tribe(tribe, 11, surrogate_fitness, np.random.default_rng(0))
+        kept = {id(ind) for ind in resized.individuals}
+        evicted = [
+            slot for slot, ind in enumerate(tribe.individuals) if id(ind) not in kept
+        ]
+        assert evicted == [1, 2, 6, 7, 8, 11, 12]

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tribefs as t
+from tribefs import evolution
 
 import engine_reference
 from conftest import make_tribe, surrogate_fitness
@@ -447,6 +448,24 @@ class TestEvolveGeneration:
             current = t.best_individual(tribe).fitness
             assert current >= best
             best = current
+
+    def test_elite_replaces_the_lowest_slot_of_a_tie(self, monkeypatch):
+        # The successors are fixed here: slots 0-2 hold 3 features and 3-7
+        # hold 4, the elite's class. Slots 4, 6 and 7 tie on that class's
+        # lowest fitness, so the elite lands on slot 4. Slot 0 scores lower
+        # still but holds another cardinality.
+        tribe = make_tribe({3: 3, 4: 5}, seed=10)
+        for ind, fitness in zip(tribe.individuals, [20, 60, 60, 70, 40, 90, 40, 40]):
+            ind.fitness = float(fitness)
+        elite = tribe.individuals[5]
+        successors = make_tribe({3: 3, 4: 5}, seed=11)
+        for ind, fitness in zip(successors.individuals, [10, 60, 60, 70, 40, 80, 40, 40]):
+            ind.fitness = float(fitness)
+        expected = list(successors.individuals)
+        expected[4] = elite
+        monkeypatch.setattr(evolution, "paired_mutation", lambda *args: successors)
+        result = self.run_generation(tribe)
+        assert all(a is b for a, b in zip(result.individuals, expected, strict=True))
 
     def test_previous_best_survives_verbatim(self):
         tribe = evaluate_all(make_tribe({3: 10}, seed=3))

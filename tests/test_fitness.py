@@ -243,6 +243,7 @@ class TestSolverParity:
 
     @pytest.mark.parametrize("n_classes", [2, 3])
     def test_fold_accuracies_match_reference(self, n_classes):
+        pytest.importorskip("scipy.optimize")  # the reference solver's L-BFGS
         dataset = make_blobs(
             n_features=10, informative=(0, 1, 2), separation=1.5,
             seed=20 + n_classes, n_classes=n_classes,

@@ -160,11 +160,13 @@ class TestRunExperiment:
 
     def test_competitions_recorded_on_schedule(self, small_dataset):
         report = t.run_experiment(tiny_config(runs=1), small_dataset)
-        events = report.results[0].competitions
+        result = report.results[0]
+        events = result.competitions
         assert events, "six generations at interval 2 should hold contests"
         for event in events:
             assert event.generation % 2 == 0
             assert event.winner != event.loser
+            assert event.sizes == result.history[event.generation].tribe_sizes
 
     def test_zero_generations_reports_initial_best(self, small_dataset):
         report = t.run_experiment(tiny_config(max_generations=0, runs=1), small_dataset)
@@ -269,6 +271,7 @@ class TestSweep:
             t.sweep(config, "n_tribes", [3, 4], small_dataset)
 
 
+@pytest.mark.usefixtures("scipy_stats")
 class TestFriedman:
     def test_dominant_method_two_rows(self):
         # One method wins on all 20 datasets: ranks are all 2 vs all 1, so
@@ -321,6 +324,7 @@ class TestFriedman:
             t.friedman_test(np.array([[1.0, np.nan], [2.0, 3.0]]))
 
 
+@pytest.mark.usefixtures("scipy_stats")
 class TestPairedTTest:
     def test_known_value(self):
         a = np.array([92.0, 94.0, 91.0, 95.0, 93.0])
@@ -457,7 +461,7 @@ class TestGenerationLoop:
             small_dataset, config.protocol(), t.FitnessCache()
         )
         seen = []
-        for generation, population, record in t.generations(
+        for generation, population, event in t.generations(
             plan, config, evaluate, np.random.SeedSequence(config.seed)
         ):
             assert population.size == 300
@@ -466,7 +470,8 @@ class TestGenerationLoop:
                 for tribe in population.tribes
                 for ind in tribe.individuals
             )
-            seen.append((generation, record is not None))
+            assert event is None or event.generation == generation
+            seen.append((generation, event is not None))
         assert [g for g, _ in seen] == [0, 1, 2, 3, 4, 5]
         assert not any(contested for g, contested in seen if g % 2)
 
