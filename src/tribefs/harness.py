@@ -551,12 +551,12 @@ def friedman_test(matrix) -> FriedmanResult:
     referred to the chi-square distribution with ``methods - 1`` degrees of
     freedom.
     """
-    scipy_stats = _scipy_stats()
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] < 2 or matrix.shape[1] < 2:
         raise ValueError("need at least 2 methods and 2 datasets")
     if not np.isfinite(matrix).all():
         raise ValueError("accuracy matrix contains non-finite values")
+    scipy_stats = _scipy_stats()
     k, n = matrix.shape
     ranks = np.apply_along_axis(
         lambda column: scipy_stats.rankdata(column, method="average"), 0, matrix
@@ -587,7 +587,6 @@ class TTestResult:
 
 def paired_t_test(a, b) -> TTestResult:
     """Two-sided paired t-test of accuracy vectors ``a`` and ``b``."""
-    scipy_stats = _scipy_stats()
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape or a.ndim != 1:
@@ -596,6 +595,7 @@ def paired_t_test(a, b) -> TTestResult:
         raise ValueError("need at least two pairs")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("accuracy vectors contain non-finite values")
+    scipy_stats = _scipy_stats()
     differences = a - b
     spread = float(differences.std(ddof=1))
     mean = float(differences.mean())

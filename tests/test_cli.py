@@ -399,7 +399,6 @@ class TestStatsCommands:
         [["friedman"], ["ttest", "--method-a", "alpha", "--method-b", "beta"]],
         ids=["friedman", "ttest"],
     )
-    @pytest.mark.usefixtures("scipy_stats")
     def test_non_finite_cell_exits_one(self, tmp_path, capsys, command):
         path = tmp_path / "nan.csv"
         path.write_text("method,wine,zoo\nalpha,97.0,nan\nbeta,96.0,94.0\n")
@@ -431,6 +430,13 @@ class TestStatsCommands:
         monkeypatch.setitem(sys.modules, "scipy", None)  # as if not installed
         assert main(["stats", "friedman", str(self.write_matrix(tmp_path))]) == 2
         assert "pip install 'tribefs[stats]'" in capsys.readouterr().err
+
+    def test_one_method_exits_one_without_scipy(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setitem(sys.modules, "scipy", None)  # as if not installed
+        path = tmp_path / "one.csv"
+        path.write_text("method,a,b\nx,1,2\n")
+        assert main(["stats", "friedman", str(path)]) == 1
+        assert "need at least 2 methods" in capsys.readouterr().err
 
     def test_collect_builds_then_extends_matrix(self, blob_csv, tmp_path, capsys):
         out_dir = tmp_path / "report"

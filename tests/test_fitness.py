@@ -173,6 +173,21 @@ class TestLinearSVM:
         with pytest.raises(ValueError, match="two classes"):
             t.train_linear_svm(np.zeros((4, 2)), np.zeros(4))
 
+    @pytest.mark.parametrize(
+        "X, message",
+        [
+            (np.zeros((10, 2)), r"10 rows but y has shape \(8,\)"),
+            (np.zeros((6, 2)), r"6 rows but y has shape \(8,\)"),
+            (np.zeros(8), r"2-D .* shape \(8,\)"),
+            (np.full((8, 2), np.nan), "NaN or infinite"),
+            (np.full((8, 2), np.inf), "NaN or infinite"),
+        ],
+        ids=["extra-rows", "missing-rows", "one-dimensional", "nan", "inf"],
+    )
+    def test_rejects_inconsistent_input(self, X, message):
+        with pytest.raises(ValueError, match=message):
+            t.train_linear_svm(X, np.repeat([0, 1], 4))
+
     def test_iteration_cap_reports_nonconvergence(self):
         rng = np.random.default_rng(3)
         X = np.vstack([rng.normal(-3.0, 1.0, (30, 4)), rng.normal(3.0, 1.0, (30, 4))])
@@ -264,7 +279,7 @@ class TestSolverParity:
                 testing.append((X_test, y[test_idx]))
             layout = fitness._pair_layout([y_train for _, y_train in training])
             X_stacked = np.concatenate([X_train for X_train, _ in training])
-            models = layout.fit(X_stacked, 1.0, 1000)
+            models = layout.fit(layout.stack(X_stacked), 1.0, 1000)
             percents = []
             for model, (X_train, y_train), (X_test, y_test) in zip(
                 models, training, testing
@@ -462,6 +477,76 @@ class TestPreparedFoldsParity:
         )
         assert value == expected
         assert ours <= theirs
+
+
+def _stack_from_columns(folds, columns):
+    """The solver's stack for one mask, built from its standardized columns."""
+    train = np.take(folds.train, columns, axis=1)
+    Z = np.take(np.column_stack((train, np.ones(len(train)))), folds.pairs.rows, axis=0)
+    Z[folds.pairs.signs == 0.0] = 0.0
+    return Z
+
+
+class TestPreparedStack:
+    """The linear SVM's pair-machine stack, built once per evaluator."""
+
+    def test_read_only_with_zero_padding_and_a_bias_of_one(self):
+        # 43 rows per class split 5 ways: the folds' training sets differ in
+        # size, so the shorter machines are padded.
+        dataset = make_blobs(n_per_class=43, n_features=7, n_classes=3, seed=5)
+        folds = fitness._PreparedFolds(dataset, t.FitnessProtocol(folds=5))
+        stack, signs = folds.stack, folds.pairs.signs
+        assert stack.shape == (*signs.shape, 8)
+        assert not stack.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            stack[0, 0, 0] = 1.0
+        padding = signs == 0.0
+        assert padding.any()
+        assert not stack[padding].any()
+        assert np.all(stack[~padding][:, -1] == 1.0)
+
+    @pytest.mark.parametrize("subsample", [None, 0.6])
+    @pytest.mark.parametrize("n_classes", [2, 3, 4])
+    def test_gathered_stack_equals_one_built_from_the_columns(
+        self, n_classes, subsample, monkeypatch
+    ):
+        dataset = make_blobs(
+            n_per_class=23, n_features=9, informative=(0, 1, 2),
+            separation=1.0, seed=40 + n_classes, n_classes=n_classes,
+        )
+        folds = fitness._PreparedFolds(
+            dataset, t.FitnessProtocol(folds=5, subsample=subsample)
+        )
+        solved = []
+        solve = fitness._solve_squared_hinge
+        monkeypatch.setattr(
+            fitness, "_solve_squared_hinge",
+            lambda Z, y, C, max_iter: solved.append(Z) or solve(Z, y, C, max_iter),
+        )
+        rng = np.random.default_rng([n_classes, subsample is None])
+        for _ in range(12):
+            mask = (rng.random(9) < rng.uniform(0.1, 0.9)).astype(np.uint8)
+            mask[rng.integers(9)] = 1
+            folds.accuracy(mask)
+            Z = solved.pop()
+            expected = _stack_from_columns(folds, np.flatnonzero(mask))
+            assert Z.flags.c_contiguous
+            assert Z.shape == expected.shape
+            assert Z.tobytes() == expected.tobytes()
+
+    def test_rescoring_gives_the_same_bits_and_leaves_the_stack(self):
+        dataset = make_blobs(n_per_class=30, n_features=10, n_classes=3, seed=6)
+        folds = fitness._PreparedFolds(dataset, t.FitnessProtocol(folds=5))
+        before = folds.stack.tobytes()
+        rng = np.random.default_rng(6)
+        masks = [
+            (rng.random(10) < 0.5).astype(np.uint8) | informative_mask(10)
+            for _ in range(6)
+        ]
+        first = [np.float64(folds.accuracy(mask)).tobytes() for mask in masks]
+        again = [np.float64(folds.accuracy(mask)).tobytes() for mask in masks]
+        assert again == first
+        assert folds.stack.tobytes() == before
 
 
 class TestKfoldAccuracy:

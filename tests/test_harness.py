@@ -271,8 +271,8 @@ class TestSweep:
             t.sweep(config, "n_tribes", [3, 4], small_dataset)
 
 
-@pytest.mark.usefixtures("scipy_stats")
 class TestFriedman:
+    @pytest.mark.usefixtures("scipy_stats")
     def test_dominant_method_two_rows(self):
         # One method wins on all 20 datasets: ranks are all 2 vs all 1, so
         # the statistic is exactly n and the p-value follows chi2(1).
@@ -283,6 +283,7 @@ class TestFriedman:
         assert result.p_value == pytest.approx(7.744216e-6, rel=1e-5)
         assert result.average_ranks == (2.0, 1.0)
 
+    @pytest.mark.usefixtures("scipy_stats")
     def test_identical_methods_share_ranks(self):
         matrix = np.tile(np.linspace(70, 90, 6), (3, 1))
         result = t.friedman_test(matrix)
@@ -290,6 +291,7 @@ class TestFriedman:
         assert result.p_value == pytest.approx(1.0)
         assert result.average_ranks == (2.0, 2.0, 2.0)
 
+    @pytest.mark.usefixtures("scipy_stats")
     def test_matches_brute_force_ranks(self):
         rng = np.random.default_rng(3)
         matrix = rng.uniform(60, 100, size=(5, 12))
@@ -324,8 +326,8 @@ class TestFriedman:
             t.friedman_test(np.array([[1.0, np.nan], [2.0, 3.0]]))
 
 
-@pytest.mark.usefixtures("scipy_stats")
 class TestPairedTTest:
+    @pytest.mark.usefixtures("scipy_stats")
     def test_known_value(self):
         a = np.array([92.0, 94.0, 91.0, 95.0, 93.0])
         b = np.array([90.0, 93.0, 90.5, 92.0, 91.0])
@@ -336,6 +338,7 @@ class TestPairedTTest:
         assert 0.0 < result.p_value < 1.0
         assert result.n == 5
 
+    @pytest.mark.usefixtures("scipy_stats")
     def test_symmetry(self):
         a = [90.0, 91.0, 95.0]
         b = [88.0, 93.0, 92.0]
@@ -344,6 +347,7 @@ class TestPairedTTest:
         assert forward.statistic == pytest.approx(-backward.statistic)
         assert forward.p_value == pytest.approx(backward.p_value)
 
+    @pytest.mark.usefixtures("scipy_stats")
     def test_constant_differences_yield_nan(self):
         result = t.paired_t_test([90.0, 91.0, 92.0], [89.0, 90.0, 91.0])
         assert math.isnan(result.statistic)
@@ -371,6 +375,14 @@ def test_significance_tests_without_scipy_name_the_extra(monkeypatch):
         t.friedman_test([[90.0, 80.0], [85.0, 75.0]])
     with pytest.raises(ModuleNotFoundError, match=message):
         t.paired_t_test([90.0, 80.0], [85.0, 75.0])
+
+
+def test_significance_tests_check_input_before_scipy(monkeypatch):
+    monkeypatch.setitem(sys.modules, "scipy", None)  # as if not installed
+    with pytest.raises(ValueError, match="at least 2 methods"):
+        t.friedman_test(np.zeros((1, 5)))
+    with pytest.raises(ValueError, match="equally long"):
+        t.paired_t_test([1.0, 2.0], [1.0])
 
 
 class TestPinnedReports:
