@@ -44,19 +44,12 @@ CLASSIFIER_KINDS = ("linear-svm", "nearest-centroid", "nearest-neighbor")
 
 @dataclass(frozen=True)
 class FitnessProtocol:
-    """Everything that defines one fitness value besides the mask itself.
-
-    ``subsample`` optionally keeps only that fraction of each class's
-    training rows per fold (at least one row per class), which trades
-    fidelity for speed on large datasets; the rows kept are derived from
-    ``fold_seed``, so the protocol stays deterministic.
-    """
+    """Everything that defines one fitness value besides the mask itself."""
 
     classifier: str = "linear-svm"
     folds: int = 10
     fold_seed: int = 0
     regularization: float = 1.0
-    subsample: float | None = None
 
     def __post_init__(self):
         if self.classifier not in CLASSIFIER_KINDS:
@@ -65,10 +58,10 @@ class FitnessProtocol:
             )
         if self.folds < 2:
             raise ValueError("folds must be at least 2")
+        if self.fold_seed < 0:
+            raise ValueError("fold_seed must be non-negative")
         if not 0.0 < self.regularization < float("inf"):
             raise ValueError("regularization must be positive and finite")
-        if self.subsample is not None and not 0.0 < self.subsample <= 1.0:
-            raise ValueError("subsample must lie in (0, 1]")
 
 
 class FitnessCache:
@@ -424,22 +417,6 @@ def _standardize(train: np.ndarray, test: np.ndarray) -> None:
         block /= scale
 
 
-def _subsample_rows(
-    train_idx: np.ndarray,
-    labels: np.ndarray,
-    fraction: float,
-    fold_seed: int,
-    fold: int,
-) -> np.ndarray:
-    rng = np.random.default_rng([fold_seed, fold])
-    kept = []
-    for c in _classes(labels[train_idx]):
-        members = train_idx[labels[train_idx] == c]
-        take = max(1, int(round(fraction * members.size)))
-        kept.append(rng.choice(members, size=take, replace=False))
-    return np.sort(np.concatenate(kept))
-
-
 def resolve_mask(mask, n_features: int) -> Individual:
     """Accept an Individual or any 0/1 vector; return it as a validated Individual."""
     if not isinstance(mask, Individual):
@@ -454,15 +431,15 @@ def resolve_mask(mask, n_features: int) -> Individual:
 class _PreparedFolds:
     """Everything about the protocol's fold plan that does not depend on the mask.
 
-    It stores the standardized rows per fold: each fold's training rows
-    (after ``subsample``) and test rows, every column standardized by that
-    column's own mean and spread over the fold's training rows, and, for
-    the linear SVM, the pair layout over the folds' training rows in order
-    and the solver's read-only stack of them at full width. Standardization
+    Each fold's training and test rows are standardized, every column by
+    its own mean and spread over the fold's training rows. Standardization
     is per column and elementwise, so a mask's columns of these rows are
-    exactly that mask's folds standardized from scratch. For the linear SVM,
-    scoring a mask is literally one gather of its columns and the bias
-    column from the stack, handed to the solver as it is.
+    exactly that mask's folds standardized from scratch. Every classifier
+    keeps the test rows; nearest-centroid and 1-NN keep the training rows,
+    and the linear SVM keeps only the pair layout over them and the
+    solver's read-only stack of them at full width. For the linear SVM,
+    scoring a mask is one gather of its columns and the bias column from
+    the stack, handed to the solver as it is.
 
     The stack holds each training row once per pair machine of its class,
     k - 1 times for k classes, plus padding to the longest machine: at most
@@ -475,25 +452,23 @@ class _PreparedFolds:
         self.protocol = protocol
         instances, labels = dataset.instances, dataset.labels
         train = [plan.train_indices(fold) for fold in range(plan.k)]
-        if protocol.subsample is not None:
-            train = [
-                _subsample_rows(rows, labels, protocol.subsample, plan.seed, fold)
-                for fold, rows in enumerate(train)
-            ]
         test = [plan.test_indices(fold) for fold in range(plan.k)]
-        self.train = instances[np.concatenate(train)]
+        train_rows = instances[np.concatenate(train)]
+        train_cuts = np.cumsum([rows.size for rows in train])[:-1]
+        train_labels = [labels[rows] for rows in train]
         self.test = instances[np.concatenate(test)]
-        self.train_cuts = np.cumsum([rows.size for rows in train])[:-1]
         self.test_cuts = np.cumsum([rows.size for rows in test])[:-1]
+        self.test_labels = [labels[rows] for rows in test]
         for fold_train, fold_test in zip(
-            np.split(self.train, self.train_cuts), np.split(self.test, self.test_cuts)
+            np.split(train_rows, train_cuts), np.split(self.test, self.test_cuts)
         ):
             _standardize(fold_train, fold_test)
-        self.train_labels = [labels[rows] for rows in train]
-        self.test_labels = [labels[rows] for rows in test]
         if protocol.classifier == "linear-svm":
-            self.pairs = _pair_layout(self.train_labels)
-            self.stack = self.pairs.stack(self.train)
+            self.pairs = _pair_layout(train_labels)
+            self.stack = self.pairs.stack(train_rows)
+        else:
+            self.train, self.train_cuts = train_rows, train_cuts
+            self.train_labels = train_labels
 
     def accuracy(self, mask: np.ndarray) -> float:
         """Mean per-fold accuracy (percent) of a validated mask."""

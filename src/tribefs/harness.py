@@ -80,7 +80,6 @@ class RunConfig:
     folds: int = FitnessProtocol.folds
     fold_seed: int = FitnessProtocol.fold_seed
     regularization: float = FitnessProtocol.regularization
-    subsample: float | None = FitnessProtocol.subsample
     crossover_rate: float = EvolutionConfig.crossover_rate
     mutation_rate: float = EvolutionConfig.mutation_rate
     selection_pressure: float = EvolutionConfig.selection_pressure
@@ -102,6 +101,8 @@ class RunConfig:
             raise ConfigError("max_generations must be non-negative")
         if self.patience < 0:
             raise ConfigError("patience must be non-negative")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         if self.runs < 1:
             raise ConfigError("runs must be positive")
         if self.means is not None:
@@ -500,8 +501,8 @@ def sweep(
     Every point reuses the same master seed, so the sweep isolates the
     parameter. Sweeping ``n_tribes`` re-derives means and sigma for each
     count; explicit overrides would defeat the point, so they are rejected.
-    Every point's plan is built before the first run, so a value with an
-    infeasible layout raises a ConfigError before any point runs.
+    A repeated value, or one with an infeasible layout, raises a ConfigError
+    before any point runs.
     """
     if parameter not in SWEEPABLE:
         raise ConfigError(f"can only sweep {SWEEPABLE}, not {parameter!r}")
@@ -509,9 +510,12 @@ def sweep(
         config.means is not None or config.sigma is not None
     ):
         raise ConfigError("sweeping n_tribes requires derived means and sigma")
+    values = list(values)
+    if len(set(values)) < len(values):
+        raise ConfigError(f"{parameter} values must differ, not {values}")
     if dataset is None:
         dataset = resolve_dataset(config)
-    points = [config.replace(**{parameter: int(value)}) for value in values]
+    points = [config.replace(**{parameter: value}) for value in values]
     for point in points:
         point.plan(dataset.n_features)  # an infeasible layout fails before any run
     return [

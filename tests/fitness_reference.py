@@ -19,7 +19,6 @@ from tribefs.fitness import (
     _NearestCentroid,
     _NearestNeighbor,
     _solve_squared_hinge,
-    _subsample_rows,
     resolve_mask,
 )
 
@@ -109,10 +108,6 @@ def reference_kfold_accuracy(dataset, mask, protocol, fold_plan=None):
     for fold in range(fold_plan.k):
         train_idx = fold_plan.train_indices(fold)
         test_idx = fold_plan.test_indices(fold)
-        if protocol.subsample is not None:
-            train_idx = _subsample_rows(
-                train_idx, y, protocol.subsample, fold_plan.seed, fold
-            )
         X_train, X_test = standardize(X[train_idx], X[test_idx])
         training.append((X_train, y[train_idx]))
         testing.append((X_test, y[test_idx]))

@@ -72,6 +72,18 @@ class TestRunCommand:
         assert main(["run", "--config", str(config_path)]) == 1
         assert "unknown config keys" in capsys.readouterr().err
 
+    def test_subsample_is_not_a_config_key(self, blob_csv, tmp_path, capsys):
+        # Every fold trains on all its training rows; there is no knob for it.
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"subsample": 0.5}))
+        args = ["run", "--config", str(config_path), "--dataset", str(blob_csv)]
+        assert main(args) == 1
+        assert "unknown config keys: ['subsample']" in capsys.readouterr().err
+
+    def test_negative_seed_exits_one(self, blob_csv, capsys):
+        assert main(run_flags(blob_csv, "--seed", "-1")) == 1
+        assert "seed must be non-negative" in capsys.readouterr().err
+
     def test_missing_dataset_exits_one(self, capsys):
         assert main(run_flags("definitely-missing.csv")) == 1
         assert "error:" in capsys.readouterr().err
@@ -155,7 +167,6 @@ FLAG_VALUES = {
     "folds": 4,
     "fold_seed": 3,
     "regularization": 0.5,
-    "subsample": 0.75,
     "crossover_rate": 0.8,
     "mutation_rate": 0.2,
     "selection_pressure": 1.5,
@@ -287,6 +298,23 @@ class TestSweepCommand:
         assert runs == []
         assert not out.exists()
 
+    def test_repeated_value_fails_before_any_run(
+        self, blob_csv, tmp_path, capsys, monkeypatch
+    ):
+        runs = []
+        monkeypatch.setattr(t.harness, "run_experiment", lambda *a: runs.append(a))
+        out = tmp_path / "sweep"
+        args = run_flags(blob_csv)
+        args[0] = "sweep"
+        code = main([
+            *args, "--param", "competition_interval", "--values", "2,2",
+            "--out", str(out),
+        ])
+        assert code == 1
+        assert "must differ, not [2, 2]" in capsys.readouterr().err
+        assert runs == []
+        assert not out.exists()
+
     def test_rejects_empty_values(self, blob_csv, capsys):
         args = run_flags(blob_csv)
         args[0] = "sweep"
@@ -320,26 +348,27 @@ class TestOracleCommand:
         assert main(["oracle", "--dataset", str(path), "--regularization", "-1"]) == 1
         assert "regularization" in capsys.readouterr().err
 
-    def test_config_and_subsample_set_the_protocol(self, tmp_path, capsys):
-        dataset = make_blobs(n_per_class=12, n_features=4, seed=5)
+    def test_config_and_flags_set_the_protocol(self, tmp_path, capsys):
+        dataset = make_blobs(n_per_class=12, n_features=4, separation=1.0, seed=7)
         path = tmp_path / "tiny.csv"
         t.write_csv(dataset, path)
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps({
             "dataset": str(path), "classifier": "nearest-centroid", "folds": 3,
+            "fold_seed": 0,
         }))
         out = tmp_path / "oracle.json"
         code = main([
-            "oracle", "--config", str(config_path), "--subsample", "0.5",
+            "oracle", "--config", str(config_path), "--fold-seed", "1",
             "--out", str(out),
         ])
         assert code == 0
         payload = json.loads(out.read_text())
-        full = t.FitnessProtocol(classifier="nearest-centroid", folds=3)
-        half = dataclasses.replace(full, subsample=0.5)
+        in_file = t.FitnessProtocol(classifier="nearest-centroid", folds=3)
+        overridden = dataclasses.replace(in_file, fold_seed=1)
         mask = t.mask_from_string(payload["best_mask"])
-        assert payload["best_accuracy"] == t.kfold_accuracy(dataset, mask, half)
-        assert payload["best_accuracy"] != t.kfold_accuracy(dataset, mask, full)
+        assert payload["best_accuracy"] == t.kfold_accuracy(dataset, mask, overridden)
+        assert payload["best_accuracy"] != t.kfold_accuracy(dataset, mask, in_file)
 
     def test_missing_dataset_exits_one(self, capsys):
         assert main(["oracle", "--folds", "3"]) == 1

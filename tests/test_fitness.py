@@ -30,8 +30,8 @@ class TestFitnessProtocol:
         protocol = t.FitnessProtocol()
         assert protocol.classifier == "linear-svm"
         assert protocol.folds == 10
+        assert protocol.fold_seed == 0
         assert protocol.regularization == 1.0
-        assert protocol.subsample is None
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -39,8 +39,8 @@ class TestFitnessProtocol:
             {"classifier": "random-forest"},
             {"folds": 1},
             {"regularization": 0.0},
-            {"subsample": 0.0},
-            {"subsample": 1.5},
+            {"fold_seed": -1},
+            {"regularization": -1.0},
             {"regularization": float("nan")},
             {"regularization": float("inf")},
         ],
@@ -410,9 +410,9 @@ class TestPreparedFoldsParity:
                 separation=1.0, seed=30 + n_classes, n_classes=n_classes,
             )
             for folds in (5, 10):
-                for subsample in (None, 0.6):
+                for fold_seed in (0, 1):
                     protocol = t.FitnessProtocol(
-                        classifier=classifier, folds=folds, subsample=subsample
+                        classifier=classifier, folds=folds, fold_seed=fold_seed
                     )
                     evaluate = t.make_evaluator(dataset, protocol)
                     rng = np.random.default_rng([n_classes, folds, scored])
@@ -430,21 +430,23 @@ class TestPreparedFoldsParity:
 
     def test_statistics_equal_each_folds_own(self):
         # Every stored value is its column standardized alone on the fold's
-        # training rows, the constant column (spread 0) only centered.
+        # training rows, the constant column (spread 0) only centered: the
+        # test rows and nearest-centroid's training rows as they are, the
+        # linear SVM's training rows inside its stack.
         dataset = make_blobs(n_per_class=60, n_features=6, seed=9)
         X = np.column_stack([dataset.instances, np.full(dataset.n_instances, 4.0)])
         dataset = t.dataset_from_arrays("blobs", X, dataset.labels)
-        plan = t.stratified_folds(dataset, 5, 0)
-        folds = fitness._PreparedFolds(dataset, t.FitnessProtocol(folds=5))
-        train = np.split(folds.train, folds.train_cuts)
-        test = np.split(folds.test, folds.test_cuts)
-        for fold in range(plan.k):
-            for j in range(dataset.n_features):
-                column = X[plan.train_indices(fold), j]
-                center, scale = column.mean(), column.std() or 1.0
-                assert np.array_equal(train[fold][:, j], (column - center) / scale)
-                held = X[plan.test_indices(fold), j]
-                assert np.array_equal(test[fold][:, j], (held - center) / scale)
+        train, test = _standardized_from_scratch(dataset, folds=5)
+        for classifier in ("linear-svm", "nearest-centroid"):
+            protocol = t.FitnessProtocol(classifier=classifier, folds=5)
+            folds = fitness._PreparedFolds(dataset, protocol)
+            assert np.array_equal(folds.test, test)
+            if classifier == "linear-svm":
+                every_column = np.arange(dataset.n_features)
+                expected = _stack_from_columns(train, folds.pairs, every_column)
+                assert np.array_equal(folds.stack, expected)
+            else:
+                assert np.array_equal(folds.train, train)
 
     @pytest.mark.parametrize("n_selected", [60, 30])
     def test_peak_memory_within_reference(self, n_selected):
@@ -479,11 +481,25 @@ class TestPreparedFoldsParity:
         assert ours <= theirs
 
 
-def _stack_from_columns(folds, columns):
+def _standardized_from_scratch(dataset, folds):
+    """Every fold's training rows and test rows, each fold standardized on
+    its own training rows column by column, concatenated in fold order."""
+    plan = t.stratified_folds(dataset, folds, 0)
+    blocks = [
+        standardize(
+            dataset.instances[plan.train_indices(fold)],
+            dataset.instances[plan.test_indices(fold)],
+        )
+        for fold in range(plan.k)
+    ]
+    return tuple(np.concatenate(parts) for parts in zip(*blocks))
+
+
+def _stack_from_columns(train, pairs, columns):
     """The solver's stack for one mask, built from its standardized columns."""
-    train = np.take(folds.train, columns, axis=1)
-    Z = np.take(np.column_stack((train, np.ones(len(train)))), folds.pairs.rows, axis=0)
-    Z[folds.pairs.signs == 0.0] = 0.0
+    train = np.take(train, columns, axis=1)
+    Z = np.take(np.column_stack((train, np.ones(len(train)))), pairs.rows, axis=0)
+    Z[pairs.signs == 0.0] = 0.0
     return Z
 
 
@@ -505,34 +521,44 @@ class TestPreparedStack:
         assert not stack[padding].any()
         assert np.all(stack[~padding][:, -1] == 1.0)
 
-    @pytest.mark.parametrize("subsample", [None, 0.6])
     @pytest.mark.parametrize("n_classes", [2, 3, 4])
     def test_gathered_stack_equals_one_built_from_the_columns(
-        self, n_classes, subsample, monkeypatch
+        self, n_classes, monkeypatch
     ):
         dataset = make_blobs(
             n_per_class=23, n_features=9, informative=(0, 1, 2),
             separation=1.0, seed=40 + n_classes, n_classes=n_classes,
         )
-        folds = fitness._PreparedFolds(
-            dataset, t.FitnessProtocol(folds=5, subsample=subsample)
-        )
+        folds = fitness._PreparedFolds(dataset, t.FitnessProtocol(folds=5))
+        train, _ = _standardized_from_scratch(dataset, folds=5)
         solved = []
         solve = fitness._solve_squared_hinge
         monkeypatch.setattr(
             fitness, "_solve_squared_hinge",
             lambda Z, y, C, max_iter: solved.append(Z) or solve(Z, y, C, max_iter),
         )
-        rng = np.random.default_rng([n_classes, subsample is None])
+        rng = np.random.default_rng(n_classes)
         for _ in range(12):
             mask = (rng.random(9) < rng.uniform(0.1, 0.9)).astype(np.uint8)
             mask[rng.integers(9)] = 1
             folds.accuracy(mask)
             Z = solved.pop()
-            expected = _stack_from_columns(folds, np.flatnonzero(mask))
+            expected = _stack_from_columns(train, folds.pairs, np.flatnonzero(mask))
             assert Z.flags.c_contiguous
             assert Z.shape == expected.shape
             assert Z.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    def test_the_stack_is_the_only_copy_of_the_training_rows(self, n_classes):
+        dataset = make_blobs(n_per_class=30, n_features=10, n_classes=n_classes, seed=7)
+        folds = fitness._PreparedFolds(dataset, t.FitnessProtocol(folds=5))
+        assert not hasattr(folds, "train")
+        held = [
+            array.nbytes
+            for array in vars(folds).values()
+            if isinstance(array, np.ndarray) and array.dtype == np.float64
+        ]
+        assert sum(held) == folds.stack.nbytes + folds.test.nbytes
 
     def test_rescoring_gives_the_same_bits_and_leaves_the_stack(self):
         dataset = make_blobs(n_per_class=30, n_features=10, n_classes=3, seed=6)
@@ -625,23 +651,6 @@ class TestKfoldAccuracy:
                 dataset, informative_mask(), t.FitnessProtocol(folds=10)
             )
         assert np.isfinite(acc)
-
-    def test_subsample_full_fraction_changes_nothing(self):
-        dataset = make_blobs(seed=7)
-        mask = informative_mask()
-        base = t.kfold_accuracy(dataset, mask, t.FitnessProtocol(folds=5))
-        sub = t.kfold_accuracy(
-            dataset, mask, t.FitnessProtocol(folds=5, subsample=1.0)
-        )
-        assert base == sub
-
-    def test_subsample_is_deterministic(self):
-        dataset = make_blobs(seed=8)
-        mask = informative_mask()
-        protocol = t.FitnessProtocol(folds=5, subsample=0.5)
-        assert t.kfold_accuracy(dataset, mask, protocol) == t.kfold_accuracy(
-            dataset, mask, protocol
-        )
 
     def test_accepts_individual_or_vector(self, blob_dataset):
         mask = informative_mask()

@@ -74,6 +74,14 @@ class TestRunConfig:
         )
         assert (config.regularization, config.sigma, config.means) == (2, 1, (2, 5))
 
+    @pytest.mark.parametrize("field", ["seed", "fold_seed"])
+    def test_negative_seeds_are_rejected_by_name(self, field):
+        # Caught when the config is built, not later by NumPy's seeding.
+        with pytest.raises(t.ConfigError, match=f"^{field} must be non-negative$"):
+            t.RunConfig(**{field: -1})
+        with pytest.raises(t.ConfigError, match=f"^{field} must be non-negative$"):
+            t.RunConfig.from_dict({field: -1})
+
     @pytest.mark.parametrize("key", ["award", "penalty"])
     def test_retired_stake_keys_name_stake(self, key):
         with pytest.raises(t.ConfigError, match="'stake'"):
@@ -265,6 +273,22 @@ class TestSweep:
         with pytest.raises(t.ConfigError, match="can only sweep"):
             t.sweep(tiny_config(), "tribe_size", [100], small_dataset)
 
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ([2, 1, 2], r"must differ, not \[2, 1, 2\]"),
+            ([2, 2.9], "competition_interval must be int"),  # not truncated to 2
+        ],
+    )
+    def test_bad_values_fail_before_any_run(
+        self, values, message, small_dataset, monkeypatch
+    ):
+        runs = []
+        monkeypatch.setattr(t.harness, "run_experiment", lambda *a: runs.append(a))
+        with pytest.raises(t.ConfigError, match=message):
+            t.sweep(tiny_config(), "competition_interval", values, small_dataset)
+        assert runs == []
+
     def test_n_tribes_sweep_requires_derived_layout(self, small_dataset):
         config = tiny_config(sigma=1.2)
         with pytest.raises(t.ConfigError, match="derived means and sigma"):
@@ -397,7 +421,7 @@ class TestPinnedReports:
         report = t.run_experiment(config, small_dataset)
         assert [r.generations for r in report.results] == [7, 6]
         assert report.fingerprint() == (
-            "2f1f659b22e555990de39f9864efbb1e272f3fd8cbfb95dce69b6538a3b336d7"
+            "41ec08197d6b3bdbe3f20f7549b57c3cd6cf89437f4107d208582858d7af3f4e"
         )
 
     def test_contests_with_fitness_ties(self):
@@ -420,7 +444,7 @@ class TestPinnedReports:
         assert len(result.competitions) == 12
         assert all(len(set(g.tribe_best)) < 3 for g in result.history)
         assert report.fingerprint() == (
-            "4286cd8151d6eebfa928c7c9216743909a011199a5480a0c414644e47a2e35a9"
+            "161c6d4dcabdd75fbfe44b33e416b1a54350acea1126a498c5263b06da9ce4e7"
         )
 
 
