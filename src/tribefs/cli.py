@@ -118,7 +118,12 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--name", action="append", help="descriptor name (repeatable)")
     group.add_argument("--all", action="store_true", help="fetch every descriptor")
     fetch.add_argument("--data-dir", default=RunConfig.data_dir)
-    fetch.add_argument("--descriptors", help="alternative descriptor JSON file")
+    fetch.add_argument(
+        "--descriptors",
+        help="alternative descriptor JSON file, used only to fetch and verify: "
+        "run resolves names against the bundled table alone, so run a file "
+        "fetched this way by its path",
+    )
     fetch.add_argument("--force", action="store_true", help="re-download existing files")
     fetch.set_defaults(handler=_cmd_fetch)
 
@@ -221,13 +226,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
+        header = [args.param, "accuracy_mean", "accuracy_std", "mean_selected"]
         with open(out / "sweep.csv", "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(
-                [args.param, "accuracy_mean", "accuracy_std", "mean_selected"]
-            )
-            for value, mean, std, selected in rows:
-                writer.writerow([value, f"{mean:.6f}", f"{std:.6f}", f"{selected:.3f}"])
+            csv.writer(handle).writerows([header, *(
+                [v, f"{mean:.6f}", f"{std:.6f}", f"{selected:.3f}"]
+                for v, mean, std, selected in rows
+            )])
         for value, report in points:
             report.save(out / f"{args.param}-{value}")
         print(f"sweep written to {out}")

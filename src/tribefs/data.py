@@ -3,10 +3,11 @@
 CSV files are parsed into a dense float matrix plus integer class labels.
 Columns whose cells all parse as numbers stay numeric; anything else is
 treated as categorical and integer-coded in order of first appearance, as
-are the class labels themselves. Rows with missing cells are dropped by
-default, with opt-in mean/mode imputation. Benchmarks ship as descriptors
-(source URL, schema, expected shape) and are fetched on demand; nothing is
-bundled beyond the descriptor file.
+are the class labels themselves. ``?`` and empty cells are missing: rows
+with one are dropped by default, with opt-in mean/mode imputation of the
+features. Benchmarks ship as descriptors (source URL, schema, expected
+shape) and are fetched on demand; nothing is bundled beyond the descriptor
+file.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import math
 import types
 import typing
 import warnings
+from collections import Counter
 from dataclasses import MISSING, dataclass, field, fields
 from importlib import resources
 from pathlib import Path
@@ -53,16 +55,18 @@ class CsvSchema:
     ``label_column`` is an index into the raw file (negative counts from the
     end) or a header name. ``delimiter=None`` splits on arbitrary
     whitespace. ``drop_columns`` are raw-file indices removed before
-    anything else (identifier columns). With ``impute`` False, rows with
-    missing cells are dropped; otherwise numeric gaps take the column mean
-    and categorical gaps the column mode.
+    anything else (identifier columns). A ``?`` or empty cell is missing.
+    A row with a missing label is always dropped; with ``impute`` False, so
+    is a row with any missing feature, and otherwise numeric gaps take the
+    column mean and categorical gaps the column mode. Non-numeric columns
+    are coded by first appearance. The export format (:func:`write_csv`) is
+    a header row with the label last, under ``class``.
     """
 
     label_column: int | str = -1
     delimiter: str | None = ","
     header: bool = False
     drop_columns: tuple[int, ...] = ()
-    missing_values: tuple[str, ...] = MISSING_MARKERS
     impute: bool = False
 
 
@@ -142,10 +146,6 @@ class FoldPlan:
         return np.flatnonzero(self.assignment != fold)
 
 
-def _is_missing(cell: str, markers: tuple[str, ...]) -> bool:
-    return cell in markers
-
-
 def _parse_float(cell: str) -> float | None:
     try:
         value = float(cell)
@@ -193,35 +193,20 @@ def load_csv(path, schema: CsvSchema = CsvSchema(), name: str | None = None) -> 
     if not feature_cols:
         raise DataError(f"{path}: no feature columns left")
 
-    # Rows whose label is missing are useless under either missing policy.
-    markers = schema.missing_values
-    kept_rows = [r for r in rows if not _is_missing(r[label_idx], markers)]
-    n_dropped = len(rows) - len(kept_rows)
-    if schema.impute:
-        table = kept_rows
-    else:
-        table = [
-            r
-            for r in kept_rows
-            if not any(_is_missing(r[c], markers) for c in feature_cols)
-        ]
-        n_dropped += len(kept_rows) - len(table)
+    # A row is kept only if it has every cell it needs: under ``impute`` just
+    # its label, otherwise its label and every feature.
+    needed = [label_idx] if schema.impute else [label_idx, *feature_cols]
+    table = [r for r in rows if not any(r[c] in MISSING_MARKERS for c in needed)]
     if not table:
         raise DataError(f"{path}: every row was dropped for missing values")
 
     columns = []
     n_imputed = 0
     for c in feature_cols:
-        cells = [r[c] for r in table]
-        column, imputed = _encode_column(cells, markers, path, c)
+        column, imputed = _encode_column([r[c] for r in table], path, c)
         columns.append(column)
         n_imputed += imputed
-    instances = np.column_stack(columns)
-
-    label_cells = [r[label_idx] for r in table]
-    class_names = list(dict.fromkeys(label_cells))
-    code = {name_: i for i, name_ in enumerate(class_names)}
-    labels = np.array([code[cell] for cell in label_cells], dtype=np.int64)
+    labels, class_names = _coded([r[label_idx] for r in table])
     if len(class_names) < 2:
         raise DataError(f"{path}: only one class present")
 
@@ -231,11 +216,11 @@ def load_csv(path, schema: CsvSchema = CsvSchema(), name: str | None = None) -> 
         feature_names = tuple(f"f{c}" for c in feature_cols)
     return Dataset(
         name=name or path.stem,
-        instances=instances,
+        instances=np.column_stack(columns),
         labels=labels,
         feature_names=feature_names,
-        class_names=tuple(class_names),
-        n_dropped=n_dropped,
+        class_names=class_names,
+        n_dropped=len(rows) - len(table),
         n_imputed=n_imputed,
     )
 
@@ -255,42 +240,31 @@ def _resolve_label_column(
     return idx
 
 
-def _encode_column(
-    cells: list[str], markers: tuple[str, ...], path, col: int
-) -> tuple[np.ndarray, int]:
+def _encode_column(cells: list[str], path, col: int) -> tuple[np.ndarray, int]:
     """One feature column as float64; returns (values, imputed cell count)."""
-    present = [cell for cell in cells if not _is_missing(cell, markers)]
+    present = [cell for cell in cells if cell not in MISSING_MARKERS]
     if not present:
         raise DataError(f"{path}: column {col} is entirely missing")
-    numeric = [_parse_float(cell) for cell in present]
-    if all(v is not None for v in numeric):
-        fill = float(np.mean(numeric))
-        out, imputed = [], 0
-        for cell in cells:
-            if _is_missing(cell, markers):
-                out.append(fill)
-                imputed += 1
-            else:
-                out.append(_parse_float(cell))
-        return np.array(out, dtype=np.float64), imputed
-    # Categorical: integer codes by first appearance; missing takes the mode.
-    codes = {}
-    for cell in present:
-        codes.setdefault(cell, len(codes))
-    counts = {cell: present.count(cell) for cell in codes}
-    mode = max(codes, key=lambda cell: (counts[cell], -codes[cell]))
-    out, imputed = [], 0
-    for cell in cells:
-        if _is_missing(cell, markers):
-            out.append(codes[mode])
-            imputed += 1
-        else:
-            out.append(codes[cell])
-    return np.array(out, dtype=np.float64), imputed
+    value = {cell: _parse_float(cell) for cell in present}
+    if None in value.values():
+        # Categorical: codes by first appearance; a gap takes the mode, the
+        # first to appear among equally common cells.
+        value = {cell: float(i) for i, cell in enumerate(value)}
+        fill = value[Counter(present).most_common(1)[0][0]]
+    else:
+        fill = float(np.mean([value[cell] for cell in present]))
+    column = [fill if cell in MISSING_MARKERS else value[cell] for cell in cells]
+    return np.array(column, dtype=np.float64), len(cells) - len(present)
 
 
-# write_csv's format: a header row whose last cell names the label column.
-_EXPORT_SCHEMA = CsvSchema(label_column="class", header=True)
+def _coded(values: list) -> tuple[np.ndarray, tuple]:
+    """Dense codes for ``values`` by first appearance, and the values so coded."""
+    code = {value: i for i, value in enumerate(dict.fromkeys(values))}
+    return np.array([code[value] for value in values], dtype=np.int64), tuple(code)
+
+
+# write_csv's format: a header row whose last cell, ``class``, heads the label.
+_EXPORT_SCHEMA = CsvSchema(label_column=-1, header=True)
 
 
 def write_csv(dataset: Dataset, path) -> None:
@@ -298,7 +272,7 @@ def write_csv(dataset: Dataset, path) -> None:
     path = Path(path)
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow([*dataset.feature_names, _EXPORT_SCHEMA.label_column])
+        writer.writerow([*dataset.feature_names, "class"])
         for row, label in zip(dataset.instances, dataset.labels):
             writer.writerow([repr(float(v)) for v in row] + [dataset.class_names[label]])
 
@@ -307,7 +281,7 @@ def sniff_schema(path) -> CsvSchema:
     """Export schema if the first row ends in ``class``, else the default schema."""
     with open(path, newline="") as handle:
         first = next(csv.reader(handle), None)
-    if first and first[-1].strip() == _EXPORT_SCHEMA.label_column:
+    if first and first[-1].strip() == "class":
         return _EXPORT_SCHEMA
     return CsvSchema()
 
@@ -318,9 +292,7 @@ def dataset_from_arrays(name: str, X, y, feature_names=None) -> Dataset:
     y = np.asarray(y)
     if X.ndim != 2:
         raise DataError("X must be a 2-D matrix")
-    class_values = list(dict.fromkeys(y.tolist()))
-    code = {value: i for i, value in enumerate(class_values)}
-    labels = np.array([code[value] for value in y.tolist()], dtype=np.int64)
+    labels, class_values = _coded(y.tolist())
     if feature_names is None:
         feature_names = tuple(f"f{i}" for i in range(X.shape[1]))
     return Dataset(

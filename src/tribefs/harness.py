@@ -285,39 +285,31 @@ class RunReport:
         (out_dir / "report.json").write_text(
             json.dumps(payload, indent=2) + "\n"
         )
-        with open(out_dir / "summary.csv", "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(
+        tables = {
+            "summary.csv": (
                 ["run", "best_accuracy", "best_count", "best_mask",
-                 "generations", "evaluations", "wall_time"]
-            )
-            for r in self.results:
-                writer.writerow(
-                    [r.run, f"{r.best_accuracy:.6f}", r.best_count, r.best_mask,
-                     r.generations, r.evaluations, f"{r.wall_time:.3f}"]
-                )
-        with open(out_dir / "trace.csv", "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(
+                 "generations", "evaluations", "wall_time"],
+                [[r.run, f"{r.best_accuracy:.6f}", r.best_count, r.best_mask,
+                  r.generations, r.evaluations, f"{r.wall_time:.3f}"]
+                 for r in self.results],
+            ),
+            "trace.csv": (
                 ["run", "generation", "best_accuracy", "best_count",
-                 "tribe_sizes", "tribe_best"]
-            )
-            for r in self.results:
-                for g in r.history:
-                    writer.writerow(
-                        [r.run, g.generation, f"{g.best_accuracy:.6f}", g.best_count,
-                         " ".join(map(str, g.tribe_sizes)),
-                         " ".join(f"{b:.4f}" for b in g.tribe_best)]
-                    )
-        with open(out_dir / "competitions.csv", "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["run", "generation", "winner", "loser", "sizes"])
-            for r in self.results:
-                for c in r.competitions:
-                    writer.writerow(
-                        [r.run, c.generation, c.winner, c.loser,
-                         " ".join(map(str, c.sizes))]
-                    )
+                 "tribe_sizes", "tribe_best"],
+                [[r.run, g.generation, f"{g.best_accuracy:.6f}", g.best_count,
+                  " ".join(map(str, g.tribe_sizes)),
+                  " ".join(f"{b:.4f}" for b in g.tribe_best)]
+                 for r in self.results for g in r.history],
+            ),
+            "competitions.csv": (
+                ["run", "generation", "winner", "loser", "sizes"],
+                [[r.run, c.generation, c.winner, c.loser, " ".join(map(str, c.sizes))]
+                 for r in self.results for c in r.competitions],
+            ),
+        }
+        for name, (header, rows) in tables.items():
+            with open(out_dir / name, "w", newline="") as handle:
+                csv.writer(handle).writerows([header, *rows])
 
 
 def resolve_dataset(config: RunConfig) -> Dataset:

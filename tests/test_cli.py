@@ -601,7 +601,7 @@ class TestFetchCommand:
         "key, value, message",
         [
             ("drop_columns", 5, "drop_columns must be tuple[int, ...], not 5"),
-            ("missing_values", ["?", 0], "missing_values must be tuple[str, ...]"),
+            ("drop_columns", ["0"], "drop_columns must be tuple[int, ...], not ['0']"),
             ("label_column", True, "label_column must be int | str, not True"),
             ("expected_features", 13.0, "expected_features must be int, not 13.0"),
             ("header", "yes", "header must be bool, not 'yes'"),

@@ -1,7 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 import tribefs as t
 from tribefs.data import sniff_schema
@@ -20,6 +23,121 @@ BASIC = """5.1,3.5,a,yes
 6.2,2.9,a,no
 5.8,2.7,b,no
 """
+
+
+MARKERS = ("?", "")
+
+
+def reference_float(cell):
+    try:
+        value = float(cell)
+    except ValueError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+def reference_read(rows, label_idx, impute, path):
+    """Straight-line reader: missing-cell filter, imputation, label coding.
+
+    ``rows`` hold stripped cells of one width, every column but ``label_idx``
+    is a feature, and a ``?`` or empty cell is missing. Returns the arrays
+    and counts that ``load_csv`` builds from them, or raises its DataError.
+    """
+    feature_cols = [c for c in range(len(rows[0])) if c != label_idx]
+    kept_rows = [r for r in rows if r[label_idx] not in MARKERS]
+    n_dropped = len(rows) - len(kept_rows)
+    if impute:
+        table = kept_rows
+    else:
+        table = [
+            r for r in kept_rows if not any(r[c] in MARKERS for c in feature_cols)
+        ]
+        n_dropped += len(kept_rows) - len(table)
+    if not table:
+        raise t.DataError(f"{path}: every row was dropped for missing values")
+    columns = []
+    n_imputed = 0
+    for c in feature_cols:
+        cells = [r[c] for r in table]
+        present = [cell for cell in cells if cell not in MARKERS]
+        if not present:
+            raise t.DataError(f"{path}: column {c} is entirely missing")
+        numeric = [reference_float(cell) for cell in present]
+        out = []
+        if all(v is not None for v in numeric):
+            fill = float(np.mean(numeric))
+            for cell in cells:
+                if cell in MARKERS:
+                    out.append(fill)
+                    n_imputed += 1
+                else:
+                    out.append(reference_float(cell))
+        else:
+            codes = {}
+            for cell in present:
+                codes.setdefault(cell, len(codes))
+            counts = {cell: present.count(cell) for cell in codes}
+            mode = max(codes, key=lambda cell: (counts[cell], -codes[cell]))
+            for cell in cells:
+                if cell in MARKERS:
+                    out.append(codes[mode])
+                    n_imputed += 1
+                else:
+                    out.append(codes[cell])
+        columns.append(np.array(out, dtype=np.float64))
+    label_cells = [r[label_idx] for r in table]
+    class_names = list(dict.fromkeys(label_cells))
+    code = {name: i for i, name in enumerate(class_names)}
+    labels = np.array([code[cell] for cell in label_cells], dtype=np.int64)
+    if len(class_names) < 2:
+        raise t.DataError(f"{path}: only one class present")
+    return np.column_stack(columns), labels, tuple(class_names), n_dropped, n_imputed
+
+
+NUMERIC_CELLS = st.sampled_from(["0", "1", "-2.5", "3e1", "0.1", "?", ""])
+CATEGORICAL_CELLS = st.sampled_from(["a", "b", "c", "1", "inf", "?", ""])
+LABEL_CELLS = st.sampled_from(["x", "y", "z", "1", "?", ""])
+
+
+@st.composite
+def small_tables(draw):
+    """(rows, label column index): numeric and categorical features."""
+    width = draw(st.integers(2, 4))
+    label = draw(st.integers(0, width - 1))
+    features = st.sampled_from([NUMERIC_CELLS, CATEGORICAL_CELLS])
+    kinds = [LABEL_CELLS if c == label else draw(features) for c in range(width)]
+    rows = draw(st.lists(st.tuples(*kinds).map(list), min_size=1, max_size=8))
+    # The reader skips a line of empty cells before any missing-cell rule.
+    rows = [row for row in rows if any(row)]
+    assume(rows)
+    return rows, label
+
+
+class TestReaderMatchesReference:
+    @settings(
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(table=small_tables(), impute=st.booleans(), from_end=st.booleans())
+    def test_reads_as_the_reference_does(self, tmp_path, table, impute, from_end):
+        rows, label = table
+        path = write(tmp_path, "".join(",".join(row) + "\n" for row in rows))
+        column = label - len(rows[0]) if from_end else label
+        schema = t.CsvSchema(label_column=column, impute=impute)
+        try:
+            expected = reference_read(rows, label, impute, path)
+        except t.DataError as err:
+            with pytest.raises(t.DataError) as caught:
+                t.load_csv(path, schema)
+            assert str(caught.value) == str(err)
+            return
+        dataset = t.load_csv(path, schema)
+        instances, labels, class_names, n_dropped, n_imputed = expected
+        assert dataset.instances.tobytes() == instances.tobytes()
+        assert dataset.labels.tolist() == labels.tolist()
+        assert dataset.class_names == class_names
+        assert (dataset.n_dropped, dataset.n_imputed) == (n_dropped, n_imputed)
 
 
 class TestLoadCsv:
@@ -158,12 +276,23 @@ class TestRoundTrip:
         assert loaded.feature_names == blob_dataset.feature_names
         assert loaded.class_names == blob_dataset.class_names
 
+    def test_a_feature_named_class_stays_a_feature(self, tmp_path, monkeypatch):
+        X = [[1.0, 5.0], [2.0, 6.0], [3.0, 7.0], [4.0, 8.0]]
+        dataset = t.dataset_from_arrays("exp", X, ["a", "b", "a", "b"], ("class", "b"))
+        t.write_csv(dataset, tmp_path / "exp.csv")
+        monkeypatch.chdir(tmp_path)
+        loaded = t.resolve_dataset(t.RunConfig(dataset="./exp.csv"))
+        assert loaded.feature_names == ("class", "b")
+        assert loaded.class_names == ("a", "b")
+        assert np.array_equal(loaded.instances, dataset.instances)
+        assert np.array_equal(loaded.labels, dataset.labels)
+
 
 class TestSniffSchema:
     def test_export_format_reads_with_its_header(self, tmp_path, blob_dataset):
         path = tmp_path / "blobs.csv"
         t.write_csv(blob_dataset, path)
-        assert sniff_schema(path) == t.CsvSchema(label_column="class", header=True)
+        assert sniff_schema(path) == t.CsvSchema(label_column=-1, header=True)
 
     def test_other_files_take_the_default_schema(self, tmp_path):
         assert sniff_schema(write(tmp_path, BASIC)) == t.CsvSchema()
