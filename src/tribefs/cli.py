@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import mask_to_string
-from .data import DataError, fetch_dataset, load_descriptors
+from .data import DataError, _field_types, _fits, fetch_dataset, load_descriptors
 from .fitness import CLASSIFIER_KINDS, FitnessProtocol
 from .harness import (
     SWEEPABLE,
@@ -42,7 +42,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, FileNotFoundError) as err:
+    except (ValueError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
+            PermissionError) as err:
         # ConfigError, DataError and json.JSONDecodeError are ValueErrors.
         print(f"error: {err}", file=sys.stderr)
         return USAGE_EXIT
@@ -130,13 +131,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Flag settings by the first member of a field's annotation ("int | None"
-# is int); the other fields, ``means`` among them, take text.
-_FLAG_KINDS = {
-    "int": {"type": int},
-    "float": {"type": float},
-    "bool": {"action": "store_const", "const": True},
-}
+# A flag's settings are those of the first of these values its field fits
+# (``sigma`` fits 0.5, so it parses a float); ``means`` and the rest take text.
+_FLAG_KINDS = (
+    (True, {"action": "store_const", "const": True}),
+    (0.5, {"type": float}),
+    (0, {"type": int}),
+)
 # What a flag needs beyond its field's name and annotation.
 _FLAG_OPTIONS = {
     "dataset": {"help": "descriptor name or CSV path"},
@@ -156,14 +157,14 @@ def _add_experiment_arguments(
     A flag's dest is its field's name and it is None when not given.
     """
     parser.add_argument("--config", help="JSON config file; flags override its keys")
-    for field in dataclasses.fields(RunConfig):
-        if names is None or field.name in names:
+    for name, hint in _field_types(RunConfig).items():
+        if names is None or name in names:
             parser.add_argument(
-                "--" + field.name.replace("_", "-"),
-                *_FLAG_ALIASES.get(field.name, ()),
-                dest=field.name,
-                **_FLAG_KINDS.get(field.type.split(" |")[0], {}),
-                **_FLAG_OPTIONS.get(field.name, {}),
+                "--" + name.replace("_", "-"),
+                *_FLAG_ALIASES.get(name, ()),
+                dest=name,
+                **next((kind for value, kind in _FLAG_KINDS if _fits(value, hint)), {}),
+                **_FLAG_OPTIONS.get(name, {}),
             )
 
 
@@ -191,8 +192,22 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
         raise ConfigError(f"{flag} expects comma-separated integers: {text!r}") from err
 
 
+def _check_out(out: str | None, directory: bool) -> None:
+    """Refuse, before any search, an ``--out`` that could not be written."""
+    if out is None:
+        return
+    path = Path(out)
+    if directory:
+        existing = next(p for p in (path, *path.parents) if p.exists())
+        if not existing.is_dir():
+            raise ConfigError(f"--out {out}: {existing} is not a directory")
+    elif path.is_dir() or not path.parent.is_dir():
+        raise ConfigError(f"--out {out} must name a file in an existing directory")
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
+    _check_out(args.out, directory=True)
     report = run_experiment(config)
     print(
         f"{report.dataset_name}: "
@@ -214,6 +229,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
+    _check_out(args.out, directory=True)
     values = _parse_int_list(args.values, "--values")
     if not values:
         raise ConfigError("--values is empty")
@@ -240,6 +256,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
+    _check_out(args.out, directory=False)
     dataset = resolve_dataset(config)
     result = exhaustive_best_subset(
         dataset, config.protocol(), max_features=args.max_features

@@ -13,9 +13,11 @@ file.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import math
+import numbers
 import types
 import typing
 import warnings
@@ -68,6 +70,12 @@ class CsvSchema:
     header: bool = False
     drop_columns: tuple[int, ...] = ()
     impute: bool = False
+
+    def __post_init__(self):
+        if self.delimiter is not None and len(self.delimiter) != 1:
+            raise DataError(
+                f"delimiter must be one character or null, not {self.delimiter!r}"
+            )
 
 
 @dataclass(eq=False)
@@ -357,8 +365,9 @@ class DatasetDescriptor:
     def from_json(cls, name: str, raw: dict) -> "DatasetDescriptor":
         """Read one entry; its keys are CsvSchema's fields and this class's own.
 
-        Each value must have its field's type, a list standing for a tuple;
-        anything else is a DataError that names the entry and the key.
+        Each value must fit its field's type (:func:`_fits`), a list standing
+        for a tuple; anything else, or a schema that CsvSchema refuses, is a
+        DataError that names the entry and the key.
         """
         if not isinstance(raw, dict):
             raise DataError(f"descriptor {name}: expected a JSON object, not {raw!r}")
@@ -367,32 +376,52 @@ class DatasetDescriptor:
         unknown = set(raw) - set(schema_fields) - set(own)
         if unknown:
             raise DataError(f"descriptor {name}: unknown keys {sorted(unknown)}")
-        hints = {**typing.get_type_hints(CsvSchema), **typing.get_type_hints(cls)}
-        raw = {key: _json_value(name, key, hints[key], v) for key, v in raw.items()}
+        hints = {**_field_types(CsvSchema), **_field_types(cls)}
+        for key, value in raw.items():
+            if problem := _type_error(key, value, hints[key]):
+                raise DataError(f"descriptor {name}: {problem}")
+        raw = {key: tuple(v) if isinstance(v, list) else v for key, v in raw.items()}
         values = {"title": name, "filename": f"{name}.csv"}
         values.update((key, raw[key]) for key in own if key in raw)
         missing = [k for k, f in own.items() if f.default is MISSING and k not in values]
         if missing:
             raise DataError(f"descriptor {name}: missing keys {missing}")
-        schema = CsvSchema(**{key: raw[key] for key in schema_fields if key in raw})
+        try:
+            schema = CsvSchema(**{key: raw[key] for key in schema_fields if key in raw})
+        except DataError as err:
+            raise DataError(f"descriptor {name}: {err}") from None
         return cls(name=name, schema=schema, **values)
 
 
-def _json_value(entry: str, key: str, hint, value):
-    """``value`` read from JSON for the field ``key: hint``; a list becomes a tuple.
+@functools.cache
+def _field_types(cls) -> dict:
+    """The dataclass ``cls``'s field annotations, evaluated, by field name."""
+    return typing.get_type_hints(cls)
 
-    Types match exactly, so ``true`` is no int and ``1.0`` no int either.
+
+def _fits(value, hint) -> bool:
+    """Whether ``value`` fits a field of the evaluated annotation ``hint``.
+
+    ``hint`` is a type, ``tuple[int, ...]`` (which a list fits too) or a
+    union of them. An integer fits ``int`` and ``float``, any real number
+    ``float``, NumPy's included; a bool (Python's or NumPy's) fits only
+    ``bool``, although Python counts it as an int.
     """
-    options = typing.get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
-    for option in options:
-        if typing.get_origin(option) is tuple:
-            item = typing.get_args(option)[0]
-            if type(value) is list and all(type(v) is item for v in value):
-                return tuple(value)
-        elif type(value) is option:
-            return value
-    expected = hint.__name__ if isinstance(hint, type) else hint
-    raise DataError(f"descriptor {entry}: {key} must be {expected}, not {value!r}")
+    if isinstance(hint, types.UnionType):
+        return any(_fits(value, option) for option in typing.get_args(hint))
+    if typing.get_origin(hint) is tuple:
+        item = typing.get_args(hint)[0]
+        return isinstance(value, (list, tuple)) and all(_fits(v, item) for v in value)
+    if isinstance(value, (bool, np.bool_)):
+        return hint is bool
+    return isinstance(value, {int: numbers.Integral, float: numbers.Real}.get(hint, hint))
+
+
+def _type_error(name: str, value, hint) -> str | None:
+    """The message for a field ``name: hint`` given ``value``, if it does not fit."""
+    if not _fits(value, hint):
+        expected = hint.__name__ if type(hint) is type else str(hint)
+        return f"{name} must be {expected}, not {value!r}"
 
 
 def load_descriptors(path=None) -> dict[str, DatasetDescriptor]:

@@ -39,7 +39,7 @@ __all__ = [
     "make_evaluator",
 ]
 
-CLASSIFIER_KINDS = ("linear-svm", "nearest-centroid", "nearest-neighbor")
+CLASSIFIER_KINDS = ("linear-svm", "nearest-centroid")
 
 
 @dataclass(frozen=True)
@@ -386,21 +386,6 @@ class _NearestCentroid:
         return self.classes[np.argmin(d2, axis=1)]  # argmin ties go low
 
 
-class _NearestNeighbor:
-    def __init__(self, X, y):
-        self.X = X
-        self.y = y
-
-    def predict(self, X):
-        # ||a-b||^2 expanded; ties resolve to the earliest training row.
-        d2 = (
-            (X**2).sum(axis=1)[:, None]
-            - 2.0 * X @ self.X.T
-            + (self.X**2).sum(axis=1)[None, :]
-        )
-        return self.y[np.argmin(d2, axis=1)]
-
-
 def _standardize(train: np.ndarray, test: np.ndarray) -> None:
     """Standardize both blocks in place by ``train``'s column means and spreads.
 
@@ -435,9 +420,9 @@ class _PreparedFolds:
     its own mean and spread over the fold's training rows. Standardization
     is per column and elementwise, so a mask's columns of these rows are
     exactly that mask's folds standardized from scratch. Every classifier
-    keeps the test rows; nearest-centroid and 1-NN keep the training rows,
-    and the linear SVM keeps only the pair layout over them and the
-    solver's read-only stack of them at full width. For the linear SVM,
+    keeps the test rows; nearest-centroid keeps the training rows, and the
+    linear SVM keeps only the pair layout over them and the solver's
+    read-only stack of them at full width. For the linear SVM,
     scoring a mask is one gather of its columns and the bias column from
     the stack, handed to the solver as it is.
 
@@ -485,14 +470,9 @@ class _PreparedFolds:
                     RuntimeWarning,
                 )
         else:
-            model_type = (
-                _NearestCentroid
-                if protocol.classifier == "nearest-centroid"
-                else _NearestNeighbor
-            )
             train = np.take(self.train, columns, axis=1)
             models = [
-                model_type(block, y)
+                _NearestCentroid(block, y)
                 for block, y in zip(np.split(train, self.train_cuts), self.train_labels)
             ]
         # Gathered after the fit, so that no test row is held during the solve.

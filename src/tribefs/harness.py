@@ -26,6 +26,8 @@ from .core import Individual, Population, best_individual, mask_to_string, rank_
 from .data import (
     DataError,
     Dataset,
+    _field_types,
+    _type_error,
     load_csv,
     load_descriptors,
     load_named,
@@ -93,10 +95,9 @@ class RunConfig:
 
     def __post_init__(self):
         # Every way of building one (direct, replace, sweep, JSON, CLI) checks here.
-        for field in dataclasses.fields(self):
-            value = getattr(self, field.name)
-            if not _has_type(value, field.type):
-                raise ConfigError(f"{field.name} must be {field.type}, not {value!r}")
+        for name, hint in _field_types(RunConfig).items():
+            if problem := _type_error(name, getattr(self, name), hint):
+                raise ConfigError(problem)
         if self.max_generations < 0:
             raise ConfigError("max_generations must be non-negative")
         if self.patience < 0:
@@ -168,34 +169,6 @@ class RunConfig:
 
     def replace(self, **changes) -> "RunConfig":
         return dataclasses.replace(self, **changes)
-
-
-# What a value of each base annotation of a RunConfig field may be.
-_CONFIG_TYPES = {
-    "str": str,
-    "int": numbers.Integral,
-    "float": numbers.Real,
-    "bool": bool,
-}
-
-
-def _has_type(value, annotation: str) -> bool:
-    """Whether ``value`` fits a RunConfig field annotated ``annotation``.
-
-    The annotations are strings: a base type or ``tuple[int, ...]``,
-    optionally ``| None``. An int fits a float field, but a bool (Python's
-    or NumPy's) fits only a bool field, although Python counts it as an int.
-    """
-    base, _, alternative = annotation.partition(" | ")
-    if value is None:
-        return alternative == "None"
-    if base == "tuple[int, ...]":
-        return isinstance(value, (list, tuple)) and all(
-            _has_type(item, "int") for item in value
-        )
-    if isinstance(value, (bool, np.bool_)):
-        return base == "bool"
-    return isinstance(value, _CONFIG_TYPES[base])
 
 
 def _checked(build, *args, **kwargs):

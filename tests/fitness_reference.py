@@ -17,7 +17,6 @@ from tribefs.fitness import (
     _MAX_ITER,
     LinearSVM,
     _NearestCentroid,
-    _NearestNeighbor,
     _solve_squared_hinge,
     resolve_mask,
 )
@@ -85,9 +84,7 @@ def fit_linear_svms(problems, C, max_iter):
 def fit_all(protocol, problems):
     if protocol.classifier == "linear-svm":
         return fit_linear_svms(problems, protocol.regularization, _MAX_ITER)
-    if protocol.classifier == "nearest-centroid":
-        return [_NearestCentroid(X, y) for X, y in problems]
-    return [_NearestNeighbor(X, y) for X, y in problems]
+    return [_NearestCentroid(X, y) for X, y in problems]
 
 
 def predict(model, X):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import tribefs as t
+from tribefs import cli
 from tribefs.cli import _build_parser, _config_from_args, main
 
 from conftest import make_blobs
@@ -143,6 +144,21 @@ class TestRunCommand:
         config_path.write_text(text)
         assert main(["run", "--config", str(config_path)]) == 1
         assert "expected a JSON object" in capsys.readouterr().err
+
+    def test_removed_classifier_exits_one_with_the_options(
+        self, blob_csv, tmp_path, capsys
+    ):
+        # 1-NN was dropped: a config that still names it runs nothing.
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({
+            "dataset": str(blob_csv), "classifier": "nearest-neighbor",
+            "tribe_size": 100, "n_tribes": 3, "folds": 3, "max_generations": 1,
+        }))
+        assert main(["run", "--config", str(config_path)]) == 1
+        assert (
+            "unknown classifier 'nearest-neighbor'; "
+            "options: ('linear-svm', 'nearest-centroid')"
+        ) in capsys.readouterr().err
 
     def test_stake_moves_that_many_individuals(self, blob_csv, tmp_path):
         out = tmp_path / "out"
@@ -389,6 +405,60 @@ class TestOracleCommand:
         assert "max_features=22" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, out",
+    [
+        ("run", "report.txt"),
+        ("run", "report.txt/run"),
+        ("sweep", "report.txt"),
+        ("oracle", "."),
+        ("oracle", "missing/oracle.json"),
+    ],
+)
+def test_unwritable_out_fails_before_any_search(
+    blob_csv, tmp_path, capsys, monkeypatch, command, out
+):
+    searches = []
+    for owner, name in [
+        (cli, "run_experiment"),
+        (t.harness, "run_experiment"),  # what sweep calls
+        (cli, "exhaustive_best_subset"),
+    ]:
+        monkeypatch.setattr(owner, name, lambda *a, **k: searches.append(a))
+    (tmp_path / "report.txt").write_text("an earlier report\n")
+    before = sorted(tmp_path.rglob("*"))
+    argv = {
+        "run": run_flags(blob_csv),
+        "sweep": [
+            "sweep", *run_flags(blob_csv)[1:],
+            "--param", "competition_interval", "--values", "1,2",
+        ],
+        "oracle": ["oracle", "--dataset", str(blob_csv), "--folds", "3"],
+    }[command]
+    out = str(tmp_path / out)
+    assert main([*argv, "--out", out]) == 1
+    assert f"error: --out {out}" in capsys.readouterr().err
+    assert searches == []
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--config", "{dir}"],
+        ["stats", "friedman", "{dir}"],
+        ["stats", "collect", "{dir}", "--method", "x", "--out", "{dir}/m.csv"],
+    ],
+    ids=["run-config", "stats-friedman", "stats-collect"],
+)
+def test_a_directory_in_place_of_a_file_exits_one(tmp_path, capsys, argv):
+    assert main([arg.format(dir=tmp_path) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(tmp_path) in err
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestStatsCommands:
     def write_matrix(self, tmp_path):
         path = tmp_path / "matrix.csv"
@@ -606,6 +676,7 @@ class TestFetchCommand:
             ("expected_features", 13.0, "expected_features must be int, not 13.0"),
             ("header", "yes", "header must be bool, not 'yes'"),
             ("sha256", 7, "sha256 must be str | None, not 7"),
+            ("delimiter", ";;", "delimiter must be one character or null, not ';;'"),
         ],
     )
     def test_wrong_typed_descriptor_value_exits_one(

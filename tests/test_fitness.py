@@ -587,7 +587,6 @@ class TestKfoldAccuracy:
         for kind, expected in [
             ("linear-svm", 97.5),
             ("nearest-centroid", 97.5),
-            ("nearest-neighbor", 95.0),
         ]:
             acc = t.kfold_accuracy(
                 dataset, mask, t.FitnessProtocol(classifier=kind, folds=5)
