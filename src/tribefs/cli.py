@@ -38,9 +38,8 @@ RUNTIME_EXIT = 2
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.handler(args)
     except (ValueError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
             PermissionError) as err:
@@ -55,8 +54,13 @@ def main(argv=None) -> int:
         return RUNTIME_EXIT
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise ConfigError(message)  # a flag value it refuses is a configuration problem
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tribefs",
         description="Tribe-based genetic feature selection",
     )
@@ -192,15 +196,16 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
         raise ConfigError(f"{flag} expects comma-separated integers: {text!r}") from err
 
 
-def _check_out(out: str | None, directory: bool) -> None:
+def _check_out(out: str | None, directory: bool, subdirectories=()) -> None:
     """Refuse, before any search, an ``--out`` that could not be written."""
     if out is None:
         return
     path = Path(out)
     if directory:
-        existing = next(p for p in (path, *path.parents) if p.exists())
-        if not existing.is_dir():
-            raise ConfigError(f"--out {out}: {existing} is not a directory")
+        for target in (path, *(path / name for name in subdirectories)):
+            existing = next(p for p in (target, *target.parents) if p.exists())
+            if not existing.is_dir():
+                raise ConfigError(f"--out {out}: {existing} is not a directory")
     elif path.is_dir() or not path.parent.is_dir():
         raise ConfigError(f"--out {out} must name a file in an existing directory")
 
@@ -229,10 +234,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    _check_out(args.out, directory=True)
     values = _parse_int_list(args.values, "--values")
     if not values:
         raise ConfigError("--values is empty")
+    sub_reports = [f"{args.param}-{value}" for value in values]
+    _check_out(args.out, directory=True, subdirectories=sub_reports)
     points = sweep(config, args.param, values)
     rows = [
         (value, report.accuracy_mean, report.accuracy_std, report.mean_selected)

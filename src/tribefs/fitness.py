@@ -2,19 +2,19 @@
 
 An individual's fitness is the mean per-fold accuracy (percent) of a
 classifier trained on just its selected columns, under a stratified k-fold
-plan that is fixed once per run. Every column is standardized per fold,
-from that fold's training rows only, once, when :func:`make_evaluator`
-prepares the folds; every classifier takes a mask's columns of those
-standardized rows as they are. The linear SVM's pair machines minimize the
-squared-hinge primal exactly with a finite Newton method, all folds' pair
-machines in one batched solve of one padded stack; :meth:`_PairLayout.stack`
-builds that stack, for the evaluator and for :func:`train_linear_svm` alike.
-Everything about the folds that does not depend on the mask (their
-standardized rows per fold, the pair layout and, for the linear SVM, the
-stack at full width) is prepared once, so scoring a mask is literally one
-gather of its columns, one batched solve and one vectorized vote per fold.
-All of it is deterministic given the dataset, the mask and the protocol,
-which is what makes the subset-keyed fitness cache sound.
+plan that is fixed once per run. ``make_evaluator``, the other name of
+:class:`Evaluator`, returns the one fitness function. It prepares once
+everything about the folds that does not depend on the mask (every column
+standardized per fold from that fold's training rows only, the pair layout
+and, for the linear SVM, the stack at full width), so scoring a mask is
+literally one gather of its columns, one batched solve and one vectorized
+vote per fold. Every evaluator memoizes its values and counts the
+evaluations whose solve did not converge. The linear SVM's pair machines
+minimize the squared-hinge primal exactly with a finite Newton method, all
+folds' pair machines in one batched solve of one padded stack;
+:meth:`_PairLayout.stack` builds that stack, for the evaluator and for
+:func:`train_linear_svm` alike. All of it is deterministic given the
+dataset, the mask and the protocol, which is what makes the memo sound.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .data import Dataset, stratified_folds
 
 __all__ = [
     "CLASSIFIER_KINDS",
+    "Evaluator",
     "FitnessProtocol",
     "FitnessCache",
     "LinearSVM",
@@ -65,7 +66,7 @@ class FitnessProtocol:
 
 
 class FitnessCache:
-    """Memo from packed mask to fitness, filled by :func:`make_evaluator`.
+    """Memo from packed mask to fitness, filled by an :class:`Evaluator`.
 
     ``lookups`` and ``misses`` make cache behaviour observable for telemetry
     and tests.
@@ -413,28 +414,39 @@ def resolve_mask(mask, n_features: int) -> Individual:
     return mask
 
 
-class _PreparedFolds:
-    """Everything about the protocol's fold plan that does not depend on the mask.
+class Evaluator:
+    """The fitness function: calling it scores one mask, memoized.
 
-    Each fold's training and test rows are standardized, every column by
-    its own mean and spread over the fold's training rows. Standardization
-    is per column and elementwise, so a mask's columns of these rows are
-    exactly that mask's folds standardized from scratch. Every classifier
-    keeps the test rows; nearest-centroid keeps the training rows, and the
-    linear SVM keeps only the pair layout over them and the solver's
-    read-only stack of them at full width. For the linear SVM,
-    scoring a mask is one gather of its columns and the bias column from
-    the stack, handed to the solver as it is.
+    A call validates the mask (an Individual or any 0/1 vector), looks its
+    :meth:`Individual.key` up in ``cache`` (a private :class:`FitnessCache`
+    when none is given) and, on a miss, scores it with :meth:`accuracy` and
+    stores the value. Errors propagate and leave no cache entry behind.
+    ``nonconverged`` counts the evaluations whose solve did not converge.
 
-    The stack holds each training row once per pair machine of its class,
-    k - 1 times for k classes, plus padding to the longest machine: at most
-    1.3 MB for the bundled descriptors (wdbc, 10 folds), 9 MB at 62 x 2000
-    with 2 classes, and 52 MB at 452 x 279 with 13 classes (2 folds).
+    Each fold's training and test rows are standardized once, every column
+    by its own mean and spread over the fold's training rows, so a mask's
+    columns of them are exactly its folds standardized from scratch. Every
+    classifier keeps the test rows; nearest-centroid keeps the training
+    rows, and the linear SVM only the pair layout and the solver's read-only
+    stack of them at full width, of which scoring gathers the mask's columns
+    and the bias column. The stack holds each training row once per pair
+    machine of its class, k - 1 times for k classes, plus padding to the
+    longest machine: at most 1.3 MB for the bundled descriptors (wdbc, 10
+    folds), 9 MB at 62 x 2000 with 2 classes, and 52 MB at 452 x 279 with
+    13 classes (2 folds).
     """
 
-    def __init__(self, dataset: Dataset, protocol: FitnessProtocol):
+    def __init__(
+        self,
+        dataset: Dataset,
+        protocol: FitnessProtocol = FitnessProtocol(),
+        cache: FitnessCache | None = None,
+    ):
         plan = stratified_folds(dataset, protocol.folds, protocol.fold_seed)
         self.protocol = protocol
+        self.n_features = dataset.n_features
+        self.cache = FitnessCache() if cache is None else cache
+        self.nonconverged = 0
         instances, labels = dataset.instances, dataset.labels
         train = [plan.train_indices(fold) for fold in range(plan.k)]
         test = [plan.test_indices(fold) for fold in range(plan.k)]
@@ -455,6 +467,15 @@ class _PreparedFolds:
             self.train, self.train_cuts = train_rows, train_cuts
             self.train_labels = train_labels
 
+    def __call__(self, individual) -> float:
+        individual = resolve_mask(individual, self.n_features)
+        key = individual.key()
+        value = self.cache.get(key)
+        if value is None:
+            value = self.accuracy(individual.mask)
+            self.cache.put(key, value)
+        return value
+
     def accuracy(self, mask: np.ndarray) -> float:
         """Mean per-fold accuracy (percent) of a validated mask."""
         columns = np.flatnonzero(mask)
@@ -464,6 +485,7 @@ class _PreparedFolds:
             Z = np.take(self.stack, np.append(columns, mask.size), axis=2)
             models = self.pairs.fit(Z, protocol.regularization, _MAX_ITER)
             if not all(model.converged for model in models):
+                self.nonconverged += 1
                 # One constant message: the default filter shows it once per process.
                 warnings.warn(
                     "linear-SVM solver stopped before converging; fitness is inexact",
@@ -485,45 +507,16 @@ class _PreparedFolds:
         return float(np.mean(percents))
 
 
+make_evaluator = Evaluator  # the name every caller builds its fitness function by
+
+
 def kfold_accuracy(
     dataset: Dataset, mask, protocol: FitnessProtocol = FitnessProtocol()
 ) -> float:
     """Mean cross-validated accuracy (percent) of the masked feature set.
 
-    The folds (their standardized rows per fold) are prepared for this one
-    mask; to score many, build the fitness function once with
-    :func:`make_evaluator`, which prepares them once and gives every mask
-    the same value.
+    The folds are prepared for this one mask; to score many, build one
+    :class:`Evaluator` and call it on each.
     """
-    return make_evaluator(dataset, protocol)(mask)
+    return Evaluator(dataset, protocol)(mask)
 
-
-def make_evaluator(
-    dataset: Dataset,
-    protocol: FitnessProtocol = FitnessProtocol(),
-    cache: FitnessCache | None = None,
-):
-    """Build the fitness function the engine calls on individuals.
-
-    The stratified fold plan and everything about the folds that does not
-    depend on the mask (the standardized rows per fold, the pair machines'
-    layout and stack) are prepared once here and shared by every
-    evaluation, and results are memoized in ``cache`` when one is given,
-    keyed on :meth:`Individual.key`, the mask's ``np.packbits`` bytes.
-    Evaluation errors propagate and leave no cache entry behind.
-    """
-    folds = _PreparedFolds(dataset, protocol)
-
-    def evaluate(individual) -> float:
-        individual = resolve_mask(individual, dataset.n_features)
-        if cache is None:
-            return folds.accuracy(individual.mask)
-        key = individual.key()
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        value = folds.accuracy(individual.mask)
-        cache.put(key, value)
-        return value
-
-    return evaluate

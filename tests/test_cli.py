@@ -411,6 +411,7 @@ class TestOracleCommand:
         ("run", "report.txt"),
         ("run", "report.txt/run"),
         ("sweep", "report.txt"),
+        ("sweep", "sweep"),  # holds a file where a point's sub-report goes
         ("oracle", "."),
         ("oracle", "missing/oracle.json"),
     ],
@@ -426,6 +427,8 @@ def test_unwritable_out_fails_before_any_search(
     ]:
         monkeypatch.setattr(owner, name, lambda *a, **k: searches.append(a))
     (tmp_path / "report.txt").write_text("an earlier report\n")
+    (tmp_path / "sweep").mkdir()
+    (tmp_path / "sweep" / "competition_interval-2").write_text("not a directory\n")
     before = sorted(tmp_path.rglob("*"))
     argv = {
         "run": run_flags(blob_csv),
@@ -440,6 +443,27 @@ def test_unwritable_out_fails_before_any_search(
     assert f"error: --out {out}" in capsys.readouterr().err
     assert searches == []
     assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize(
+    "flags, fault",
+    [
+        (["--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
+        (["--classifier", "nearest-neighbor"], "argument --classifier: invalid choice"),
+    ],
+    ids=["seed-abc", "classifier-nearest-neighbor"],
+)
+def test_a_flag_value_argparse_refuses_exits_one(capsys, flags, fault):
+    assert main(["run", *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {fault}") and err.count("\n") == 1
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as stopped:
+        main(["run", "--help"])
+    assert stopped.value.code == 0
+    assert "--seed" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

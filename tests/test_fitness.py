@@ -439,7 +439,7 @@ class TestPreparedFoldsParity:
         train, test = _standardized_from_scratch(dataset, folds=5)
         for classifier in ("linear-svm", "nearest-centroid"):
             protocol = t.FitnessProtocol(classifier=classifier, folds=5)
-            folds = fitness._PreparedFolds(dataset, protocol)
+            folds = fitness.Evaluator(dataset, protocol)
             assert np.array_equal(folds.test, test)
             if classifier == "linear-svm":
                 every_column = np.arange(dataset.n_features)
@@ -510,7 +510,7 @@ class TestPreparedStack:
         # 43 rows per class split 5 ways: the folds' training sets differ in
         # size, so the shorter machines are padded.
         dataset = make_blobs(n_per_class=43, n_features=7, n_classes=3, seed=5)
-        folds = fitness._PreparedFolds(dataset, t.FitnessProtocol(folds=5))
+        folds = fitness.Evaluator(dataset, t.FitnessProtocol(folds=5))
         stack, signs = folds.stack, folds.pairs.signs
         assert stack.shape == (*signs.shape, 8)
         assert not stack.flags.writeable
@@ -529,7 +529,7 @@ class TestPreparedStack:
             n_per_class=23, n_features=9, informative=(0, 1, 2),
             separation=1.0, seed=40 + n_classes, n_classes=n_classes,
         )
-        folds = fitness._PreparedFolds(dataset, t.FitnessProtocol(folds=5))
+        folds = fitness.Evaluator(dataset, t.FitnessProtocol(folds=5))
         train, _ = _standardized_from_scratch(dataset, folds=5)
         solved = []
         solve = fitness._solve_squared_hinge
@@ -551,7 +551,7 @@ class TestPreparedStack:
     @pytest.mark.parametrize("n_classes", [2, 3])
     def test_the_stack_is_the_only_copy_of_the_training_rows(self, n_classes):
         dataset = make_blobs(n_per_class=30, n_features=10, n_classes=n_classes, seed=7)
-        folds = fitness._PreparedFolds(dataset, t.FitnessProtocol(folds=5))
+        folds = fitness.Evaluator(dataset, t.FitnessProtocol(folds=5))
         assert not hasattr(folds, "train")
         held = [
             array.nbytes
@@ -562,7 +562,7 @@ class TestPreparedStack:
 
     def test_rescoring_gives_the_same_bits_and_leaves_the_stack(self):
         dataset = make_blobs(n_per_class=30, n_features=10, n_classes=3, seed=6)
-        folds = fitness._PreparedFolds(dataset, t.FitnessProtocol(folds=5))
+        folds = fitness.Evaluator(dataset, t.FitnessProtocol(folds=5))
         before = folds.stack.tobytes()
         rng = np.random.default_rng(6)
         masks = [
@@ -679,6 +679,21 @@ class TestNonConvergenceWarning:
             warnings.simplefilter("error")
             evaluate(t.Individual(np.ones(8, dtype=np.uint8)))
 
+    def test_capped_solver_counts_one_evaluation(self, blob_dataset, monkeypatch):
+        # One count per evaluation, however many of its pair machines stop.
+        monkeypatch.setattr(fitness, "_MAX_ITER", 1)
+        evaluate = t.make_evaluator(blob_dataset, t.FitnessProtocol(folds=5))
+        assert isinstance(evaluate, t.Evaluator)
+        assert evaluate.nonconverged == 0
+        with pytest.warns(RuntimeWarning, match="before converging"):
+            evaluate(t.Individual(np.ones(8, dtype=np.uint8)))
+        assert evaluate.nonconverged == 1
+
+    def test_converged_eval_is_not_counted(self, blob_dataset):
+        evaluate = t.make_evaluator(blob_dataset, t.FitnessProtocol(folds=5))
+        evaluate(t.Individual(np.ones(8, dtype=np.uint8)))
+        assert evaluate.nonconverged == 0
+
 
 class TestMakeEvaluator:
     def test_cache_and_direct_paths_agree(self, blob_dataset):
@@ -691,6 +706,22 @@ class TestMakeEvaluator:
             m = int(rng.integers(1, 9))
             ind = t.sample_individual(8, m, rng)
             assert cached_eval(ind) == plain_eval(ind)
+
+    def test_without_a_cache_a_repeated_mask_is_solved_once(
+        self, blob_dataset, monkeypatch
+    ):
+        solves = []
+        solve = fitness._solve_squared_hinge
+        monkeypatch.setattr(
+            fitness, "_solve_squared_hinge",
+            lambda Z, y, C, max_iter: solves.append(Z) or solve(Z, y, C, max_iter),
+        )
+        evaluate = t.make_evaluator(blob_dataset, t.FitnessProtocol(folds=5))
+        mask = informative_mask()
+        first = evaluate(mask)
+        assert evaluate(t.Individual(mask)) == evaluate(mask.tolist()) == first
+        assert len(solves) == 1
+        assert (evaluate.cache.lookups, evaluate.cache.misses) == (3, 1)
 
     def test_cache_hit_skips_recomputation(self, blob_dataset):
         cache = t.FitnessCache()
