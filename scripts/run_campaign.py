@@ -59,9 +59,9 @@ def main(argv=None):
             parser.error(f"no layout for {', '.join(unknown)}")
         layouts = [row for row in LAYOUTS if row[0] in args.only]
 
-    # Load every dataset and check its layout before the first run, so a
-    # missing file or a bad layout stops the campaign at once instead of
-    # after hours of runs on the datasets before it.
+    # Load every dataset and check its layout and its report directory
+    # before the first run, so a missing file, a bad layout or an unwritable
+    # --out stops the campaign at once instead of after hours of runs.
     planned = []
     for name, size, means in layouts:
         config = t.RunConfig(
@@ -80,6 +80,7 @@ def main(argv=None):
         try:
             dataset = t.resolve_dataset(config)
             config.plan(dataset.n_features)
+            t.check_out_dir(args.out / name)
         except (FileNotFoundError, t.DataError, t.ConfigError) as err:
             print(f"{name}: {err}", file=sys.stderr)
         else:

@@ -25,6 +25,8 @@ from .harness import (
     SWEEPABLE,
     ConfigError,
     RunConfig,
+    RunReport,
+    check_out_dir,
     friedman_test,
     paired_t_test,
     resolve_dataset,
@@ -196,23 +198,25 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
         raise ConfigError(f"{flag} expects comma-separated integers: {text!r}") from err
 
 
-def _check_out(out: str | None, directory: bool, subdirectories=()) -> None:
-    """Refuse, before any search, an ``--out`` that could not be written."""
+def _check_out(out: str | None, files=RunReport.FILES, reports=()) -> None:
+    """Refuse, before any search, an ``--out`` directory that could not be written.
+
+    ``files`` go in ``out`` itself and each of ``reports`` is a report
+    directory under it.
+    """
     if out is None:
         return
-    path = Path(out)
-    if directory:
-        for target in (path, *(path / name for name in subdirectories)):
-            existing = next(p for p in (target, *target.parents) if p.exists())
-            if not existing.is_dir():
-                raise ConfigError(f"--out {out}: {existing} is not a directory")
-    elif path.is_dir() or not path.parent.is_dir():
-        raise ConfigError(f"--out {out} must name a file in an existing directory")
+    try:
+        check_out_dir(out, files)
+        for name in reports:
+            check_out_dir(Path(out) / name)
+    except ConfigError as err:
+        raise ConfigError(f"--out {out}: {err}") from None
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    _check_out(args.out, directory=True)
+    _check_out(args.out)
     report = run_experiment(config)
     print(
         f"{report.dataset_name}: "
@@ -238,7 +242,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if not values:
         raise ConfigError("--values is empty")
     sub_reports = [f"{args.param}-{value}" for value in values]
-    _check_out(args.out, directory=True, subdirectories=sub_reports)
+    _check_out(args.out, files=["sweep.csv"], reports=sub_reports)
     points = sweep(config, args.param, values)
     rows = [
         (value, report.accuracy_mean, report.accuracy_std, report.mean_selected)
@@ -262,7 +266,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    _check_out(args.out, directory=False)
+    if args.out and (Path(args.out).is_dir() or not Path(args.out).parent.is_dir()):
+        raise ConfigError(f"--out {args.out} must name a file in an existing directory")
     dataset = resolve_dataset(config)
     result = exhaustive_best_subset(
         dataset, config.protocol(), max_features=args.max_features
@@ -346,17 +351,16 @@ def _cmd_collect(args: argparse.Namespace) -> int:
                 f"a numeric 'accuracy_mean'"
             ) from err
     out = Path(args.out)
-    rows = []
-    if out.exists():
+    rows = [["method", *names]]  # a new or empty file starts a new matrix
+    if out.exists() and out.stat().st_size:
+        _, datasets, _ = _read_matrix(out)  # a corrupt matrix is left as it is
+        if datasets != names:
+            raise DataError(
+                f"{out}: existing matrix covers datasets {datasets}, "
+                f"these reports cover {names}"
+            )
         with open(out, newline="") as handle:
             rows = list(csv.reader(handle))
-    if not rows:  # a new or empty file starts a new matrix
-        rows = [["method", *names]]
-    elif rows[0][1:] != names:
-        raise DataError(
-            f"{out}: existing matrix covers datasets {rows[0][1:]}, "
-            f"these reports cover {names}"
-        )
     rows.append([args.method, *[f"{a:.6f}" for a in accuracies]])
     with open(out, "w", newline="") as handle:
         csv.writer(handle).writerows(rows)

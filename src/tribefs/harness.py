@@ -44,6 +44,7 @@ __all__ = [
     "CompetitionEvent",
     "RunResult",
     "RunReport",
+    "check_out_dir",
     "resolve_dataset",
     "generations",
     "run_experiment",
@@ -222,7 +223,10 @@ class RunReport:
     ``fingerprint`` hashes the canonical JSON form, which excludes wall
     times; two reports from the same config and seed have equal
     fingerprints under the same NumPy version, BLAS build and thread count.
+    ``FILES`` names what :meth:`save` writes.
     """
+
+    FILES = ("report.json", "summary.csv", "trace.csv", "competitions.csv")
 
     config: dict
     dataset_name: str
@@ -248,25 +252,24 @@ class RunReport:
     def save(self, out_dir) -> None:
         """Write the report directory, creating ``out_dir`` if needed.
 
-        It holds report.json (every field, plus the fingerprint),
-        summary.csv, trace.csv and competitions.csv.
+        It holds the ``FILES``: report.json (every field, plus the
+        fingerprint), summary.csv, trace.csv and competitions.csv.
         """
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
+        report, summary, trace, competitions = self.FILES
         payload = dataclasses.asdict(self)
         payload["fingerprint"] = self.fingerprint()
-        (out_dir / "report.json").write_text(
-            json.dumps(payload, indent=2) + "\n"
-        )
+        (out_dir / report).write_text(json.dumps(payload, indent=2) + "\n")
         tables = {
-            "summary.csv": (
+            summary: (
                 ["run", "best_accuracy", "best_count", "best_mask",
                  "generations", "evaluations", "wall_time"],
                 [[r.run, f"{r.best_accuracy:.6f}", r.best_count, r.best_mask,
                   r.generations, r.evaluations, f"{r.wall_time:.3f}"]
                  for r in self.results],
             ),
-            "trace.csv": (
+            trace: (
                 ["run", "generation", "best_accuracy", "best_count",
                  "tribe_sizes", "tribe_best"],
                 [[r.run, g.generation, f"{g.best_accuracy:.6f}", g.best_count,
@@ -274,7 +277,7 @@ class RunReport:
                   " ".join(f"{b:.4f}" for b in g.tribe_best)]
                  for r in self.results for g in r.history],
             ),
-            "competitions.csv": (
+            competitions: (
                 ["run", "generation", "winner", "loser", "sizes"],
                 [[r.run, c.generation, c.winner, c.loser, " ".join(map(str, c.sizes))]
                  for r in self.results for c in r.competitions],
@@ -283,6 +286,23 @@ class RunReport:
         for name, (header, rows) in tables.items():
             with open(out_dir / name, "w", newline="") as handle:
                 csv.writer(handle).writerows([header, *rows])
+
+
+def check_out_dir(out_dir, files=RunReport.FILES) -> None:
+    """Refuse an ``out_dir`` whose ``files`` could not be written, before any run.
+
+    Raises a ConfigError naming the path when something other than a
+    directory stands at ``out_dir`` or at the nearest of its parents that
+    exists, or when a directory stands where one of ``files`` goes. The
+    default files are those :meth:`RunReport.save` writes.
+    """
+    out_dir = Path(out_dir)
+    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"{existing} is not a directory")
+    for name in files:
+        if (out_dir / name).is_dir():
+            raise ConfigError(f"{out_dir / name} is a directory")
 
 
 def resolve_dataset(config: RunConfig) -> Dataset:

@@ -1,8 +1,8 @@
 """Exhaustive reference search the engine is checked against.
 
-The exhaustive search scores every non-empty feature subset under the exact
-evaluation protocol the engine uses, so engine results can be compared for
-strict equality rather than proximity.
+The exhaustive search scores every non-empty feature subset once, under the
+protocol the engine uses; the engine's own evaluator reproduces each score
+bit for bit, so results compare for strict equality rather than proximity.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import Individual, rank_key
 from .data import Dataset
-from .fitness import FitnessCache, FitnessProtocol, make_evaluator
+from .fitness import FitnessProtocol, make_evaluator
 
 __all__ = ["MAX_ORACLE_FEATURES", "OracleResult", "exhaustive_best_subset"]
 
@@ -36,7 +36,6 @@ def exhaustive_best_subset(
     dataset: Dataset,
     protocol: FitnessProtocol = FitnessProtocol(),
     max_features: int = MAX_ORACLE_FEATURES,
-    cache: FitnessCache | None = None,
 ) -> OracleResult:
     """Score all 2^N - 1 subsets and return the best.
 
@@ -44,8 +43,8 @@ def exhaustive_best_subset(
     :func:`~tribefs.core.rank_key` (higher accuracy, then fewer selected
     features), then the lexicographically smallest mask.
     Refuses feature counts above ``max_features``; raise it knowingly for
-    bigger searches. When a cache is supplied every subset's score lands in
-    it, which lets an engine run replay the same numbers verbatim.
+    bigger searches. Each subset is scored once, by
+    :meth:`~tribefs.fitness.Evaluator.accuracy`: nothing is memoized.
     """
     n = dataset.n_features
     if n > max_features:
@@ -53,13 +52,13 @@ def exhaustive_best_subset(
             f"exhaustive search over {n} features means 2^{n}-1 evaluations; "
             f"pass max_features={n} to insist"
         )
-    evaluate = make_evaluator(dataset, protocol, cache)  # the folds are prepared once
+    evaluator = make_evaluator(dataset, protocol)  # the folds are prepared once
     start = time.perf_counter()
 
     def scored():
         for code in range(1, 1 << n):
             subset = Individual(np.array([(code >> i) & 1 for i in range(n)], np.uint8))
-            subset.fitness = evaluate(subset)
+            subset.fitness = evaluator.accuracy(subset.mask)
             yield subset
 
     best = min(scored(), key=lambda subset: (rank_key(subset), subset.key()))

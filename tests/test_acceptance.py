@@ -84,20 +84,20 @@ def load_benchmark(name):
 
 @pytest.mark.slow
 def test_exhaustive_parity(capsys):
-    # One shared evaluation protocol and cache: the engine's best accuracy
-    # must equal the exhaustive search's best accuracy to the last bit, and
+    # One evaluation protocol, scored bit for bit alike by the oracle and the
+    # engine's own evaluator: the engine's best accuracy must equal the
+    # exhaustive search's best accuracy to the last bit, and
     # the absolute value must sit within one point of 98.09.
     with criterion(capsys, "exhaustive-parity"):
         started = time.perf_counter()
         dataset = load_benchmark("wbcd")
         protocol = t.FitnessProtocol()
-        cache = t.FitnessCache()
-        oracle = t.exhaustive_best_subset(dataset, protocol, cache=cache)
+        oracle = t.exhaustive_best_subset(dataset, protocol)
         assert abs(oracle.best_accuracy - 98.09) <= 1.0
 
         config = t.RunConfig(max_generations=100, runs=1, seed=0)
         plan = config.plan(dataset.n_features)
-        evaluate = t.make_evaluator(dataset, protocol, cache)
+        evaluate = t.make_evaluator(dataset, protocol)
         seed = np.random.SeedSequence(config.seed)
         for _, population, _ in t.generations(plan, config, evaluate, seed):
             best = max(t.best_individual(tribe).fitness for tribe in population.tribes)
@@ -109,9 +109,9 @@ def test_exhaustive_parity(capsys):
 
 def test_exhaustive_parity_blobs(capsys):
     # The offline parity gate: ten features, so the exhaustive search scores
-    # all 1023 subsets into the cache the engine then reads. From three
-    # seeds, the engine's best subset must be the oracle's, bit for bit,
-    # within 100 generations.
+    # all 1023 subsets. From three seeds, the engine's best subset, scored by
+    # its own evaluator, must be the oracle's, bit for bit, within 100
+    # generations.
     with criterion(capsys, "exhaustive-parity-blobs"):
         dataset = make_blobs(
             n_per_class=30,
@@ -129,9 +129,8 @@ def test_exhaustive_parity_blobs(capsys):
             folds=5,
             max_generations=100,
         )
-        cache = t.FitnessCache()
-        oracle = t.exhaustive_best_subset(dataset, config.protocol(), cache=cache)
-        evaluate = t.make_evaluator(dataset, config.protocol(), cache)
+        oracle = t.exhaustive_best_subset(dataset, config.protocol())
+        evaluate = t.make_evaluator(dataset, config.protocol())
         plan = config.plan(dataset.n_features)
         oracle_key = t.Individual(oracle.best_mask).key()
         for seed in range(3):

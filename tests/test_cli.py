@@ -410,8 +410,11 @@ class TestOracleCommand:
     [
         ("run", "report.txt"),
         ("run", "report.txt/run"),
+        ("run", "held"),  # holds a directory where report.json goes
         ("sweep", "report.txt"),
         ("sweep", "sweep"),  # holds a file where a point's sub-report goes
+        ("sweep", "swept"),  # holds a directory where sweep.csv goes
+        ("sweep", "points"),  # a point's sub-report holds a directory for trace.csv
         ("oracle", "."),
         ("oracle", "missing/oracle.json"),
     ],
@@ -429,6 +432,9 @@ def test_unwritable_out_fails_before_any_search(
     (tmp_path / "report.txt").write_text("an earlier report\n")
     (tmp_path / "sweep").mkdir()
     (tmp_path / "sweep" / "competition_interval-2").write_text("not a directory\n")
+    (tmp_path / "held" / "report.json").mkdir(parents=True)
+    (tmp_path / "swept" / "sweep.csv").mkdir(parents=True)
+    (tmp_path / "points" / "competition_interval-1" / "trace.csv").mkdir(parents=True)
     before = sorted(tmp_path.rglob("*"))
     argv = {
         "run": run_flags(blob_csv),
@@ -601,6 +607,21 @@ class TestStatsCommands:
         assert code == 1
         assert "existing matrix" in capsys.readouterr().err
 
+
+    def test_collect_refuses_to_extend_a_corrupt_matrix(self, blob_csv, tmp_path, capsys):
+        out_dir = tmp_path / "report"
+        assert main(run_flags(blob_csv, "--out", str(out_dir))) == 0
+        capsys.readouterr()
+        matrix = tmp_path / "matrix.csv"
+        matrix.write_text("method,blobs\nx,abc\ny,1,2\n")
+        code = main([
+            "stats", "collect", str(out_dir / "report.json"),
+            "--method", "z", "--out", str(matrix),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {matrix}: ") and err.count("\n") == 1
+        assert matrix.read_text() == "method,blobs\nx,abc\ny,1,2\n"
 
     @pytest.mark.parametrize("text", ["{}", '{"dataset_name": "wine"}', "[1]"])
     def test_collect_rejects_a_file_that_is_no_report(self, tmp_path, capsys, text):

@@ -47,16 +47,28 @@ class TestExhaustiveBestSubset:
         with pytest.raises(ValueError, match="max_features=21"):
             t.exhaustive_best_subset(dataset)
 
-    def test_fills_the_shared_cache(self):
+    def test_scores_each_subset_once_and_stores_nothing(self, monkeypatch):
+        # The oracle reads no score back, so it keeps none: each subset goes
+        # to Evaluator.accuracy once, and no memo entry is ever written.
         dataset = make_blobs(n_per_class=10, n_features=3, seed=4)
         protocol = t.FitnessProtocol(classifier="nearest-centroid", folds=3)
-        cache = t.FitnessCache()
-        result = t.exhaustive_best_subset(dataset, protocol, cache=cache)
-        assert len(cache) == 7 == result.evaluations
-        evaluate = t.make_evaluator(dataset, protocol, cache)
-        misses_before = cache.misses
-        assert evaluate(t.Individual(result.best_mask)) == result.best_accuracy
-        assert cache.misses == misses_before
+        stored, scored = [], []
+        monkeypatch.setattr(t.FitnessCache, "put", lambda self, *entry: stored.append(entry))
+        accuracy = t.Evaluator.accuracy
+
+        def recorded(evaluator, mask):
+            scored.append((mask, accuracy(evaluator, mask)))
+            return scored[-1][1]
+
+        monkeypatch.setattr(t.Evaluator, "accuracy", recorded)
+        result = t.exhaustive_best_subset(dataset, protocol)
+        monkeypatch.undo()
+        assert stored == []
+        subsets = {mask.tobytes() for mask, _ in scored}
+        assert len(scored) == len(subsets) == 7 == result.evaluations
+        for mask, value in scored:
+            assert value == t.kfold_accuracy(dataset, mask, protocol)
+        assert result.best_accuracy == max(value for _, value in scored)
 
     def test_wall_time_recorded(self):
         dataset = make_blobs(n_per_class=10, n_features=3, seed=5)

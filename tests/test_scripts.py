@@ -7,6 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tribefs as t
+
+from conftest import make_blobs
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -96,3 +100,39 @@ def test_campaign_checks_every_dataset_before_the_first_run(tmp_path, capsys):
     assert len(lines) == 1
     assert lines[0].startswith("australian: ")
     assert not (out / "wine").exists()
+
+
+def test_campaign_checks_every_report_directory_before_the_first_run(
+    tmp_path, capsys, monkeypatch
+):
+    # A file stands where wine's report directory goes: the campaign must
+    # name the dataset and stop before any run, not after wine's runs.
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    write_wine_csv(data_dir)
+    script = load_script("run_campaign")
+    script.LAYOUTS = [("wine", 20, (3, 7, 11))]
+    out = tmp_path / "campaign"
+    out.mkdir()
+    (out / "wine").write_text("not a directory\n")
+    runs = []
+    monkeypatch.setattr(t, "run_experiment", lambda *args: runs.append(args))
+    argv = ["--data-dir", str(data_dir), "--out", str(out), "--runs", "1",
+            "--max-generations", "2"]
+    assert script.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and runs == []
+    assert captured.err == f"wine: {out / 'wine'} is not a directory\n"
+    assert (out / "wine").read_text() == "not a directory\n"
+
+
+def test_oracle_parity_reaches_the_oracle_on_blobs(tmp_path, capsys):
+    # Nine features: the oracle scores all 511 subsets, and the engine, with
+    # an evaluator of its own, must reach its best accuracy bit for bit.
+    path = tmp_path / "nine.csv"
+    t.write_csv(make_blobs(n_per_class=20, n_features=9, seed=1), path)
+    script = load_script("run_oracle_parity")
+    assert script.main(["--dataset", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("exhaustive: ") and "(511 subsets" in lines[0]
+    assert lines[-1].startswith("PARITY at generation ")
