@@ -342,14 +342,17 @@ def _cmd_collect(args: argparse.Namespace) -> int:
     names, accuracies = [], []
     for path in args.reports:
         payload = json.loads(Path(path).read_text())
-        try:
-            names.append(payload["dataset_name"])
-            accuracies.append(float(payload["accuracy_mean"]))
-        except (KeyError, TypeError, ValueError) as err:
+        if not isinstance(payload, dict):
+            payload = {}
+        name, accuracy = payload.get("dataset_name"), payload.get("accuracy_mean")
+        # A percent: JSON's NaN and Infinity, a bool or a string are none.
+        if not (_fits(name, str) and _fits(accuracy, float) and 0 <= accuracy <= 100):
             raise DataError(
-                f"{path}: not a report.json: it needs a 'dataset_name' and "
-                f"a numeric 'accuracy_mean'"
-            ) from err
+                f"{path}: not a report.json: it needs a string 'dataset_name' "
+                f"and an 'accuracy_mean' from 0 to 100"
+            )
+        names.append(name)
+        accuracies.append(float(accuracy))
     out = Path(args.out)
     rows = [["method", *names]]  # a new or empty file starts a new matrix
     if out.exists() and out.stat().st_size:

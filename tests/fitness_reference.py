@@ -4,8 +4,9 @@ This is the k-fold pipeline the prepared-fold path replaced, kept verbatim
 but for one rule: slice the mask's columns, standardize each fold from its
 own training rows (each column by its own mean and spread, reduced alone),
 assemble the pair stack machine by machine, solve, and count votes with a
-loop over the class pairs. The parity tests require the engine's fitness to
-equal it exactly.
+loop over the class pairs. Nearest-centroid is the per-fold classifier the
+engine used before it scored every fold in one pass. The parity tests
+require the engine's fitness to equal it exactly.
 """
 
 import itertools
@@ -16,10 +17,20 @@ from tribefs.data import stratified_folds
 from tribefs.fitness import (
     _MAX_ITER,
     LinearSVM,
-    _NearestCentroid,
+    _classes,
     _solve_squared_hinge,
     resolve_mask,
 )
+
+
+class _NearestCentroid:
+    def __init__(self, X, y):
+        self.classes = _classes(y)
+        self.centroids = np.stack([X[y == c].mean(axis=0) for c in self.classes])
+
+    def predict(self, X):
+        d2 = ((X[:, None, :] - self.centroids[None, :, :]) ** 2).sum(axis=2)
+        return self.classes[np.argmin(d2, axis=1)]  # argmin ties go low
 
 
 def loop_predict(model: LinearSVM, X: np.ndarray) -> np.ndarray:

@@ -623,7 +623,19 @@ class TestStatsCommands:
         assert err.startswith(f"error: {matrix}: ") and err.count("\n") == 1
         assert matrix.read_text() == "method,blobs\nx,abc\ny,1,2\n"
 
-    @pytest.mark.parametrize("text", ["{}", '{"dataset_name": "wine"}', "[1]"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{}",
+            '{"dataset_name": "wine"}',
+            "[1]",
+            '{"dataset_name": "wine", "accuracy_mean": NaN}',
+            '{"dataset_name": "wine", "accuracy_mean": Infinity}',
+            '{"dataset_name": "wine", "accuracy_mean": true}',
+            '{"dataset_name": "wine", "accuracy_mean": "90"}',
+            '{"dataset_name": 5, "accuracy_mean": 90.0}',
+        ],
+    )
     def test_collect_rejects_a_file_that_is_no_report(self, tmp_path, capsys, text):
         report = tmp_path / "r.json"
         report.write_text(text)

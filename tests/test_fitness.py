@@ -188,6 +188,30 @@ class TestLinearSVM:
         with pytest.raises(ValueError, match=message):
             t.train_linear_svm(X, np.repeat([0, 1], 4))
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"C": float("nan")}, "C must be positive and finite"),
+            ({"C": float("inf")}, "C must be positive and finite"),
+            ({"C": -1.0}, "C must be positive and finite"),
+            ({"C": 0.0}, "C must be positive and finite"),
+            ({"max_iter": 0}, "max_iter must be at least 1"),
+            ({"max_iter": -1}, "max_iter must be at least 1"),
+        ],
+        ids=["nan-C", "inf-C", "negative-C", "zero-C", "zero-cap", "negative-cap"],
+    )
+    def test_rejects_bad_penalty_or_iteration_cap(self, kwargs, message):
+        rng = np.random.default_rng(3)
+        X = np.vstack([rng.normal(-3.0, 1.0, (20, 3)), rng.normal(3.0, 1.0, (20, 3))])
+        with pytest.raises(ValueError, match=message):
+            t.train_linear_svm(X, np.repeat([0, 1], 20), **kwargs)
+
+    def test_pair_layout_refuses_training_sets_with_other_classes(self):
+        with pytest.raises(ValueError, match="same classes"):
+            fitness._pair_layout([np.array([0, 0, 1, 1]), np.array([0, 0, 2, 2])])
+        with pytest.raises(ValueError, match="same classes"):
+            fitness._pair_layout([np.array([0, 1, 2]), np.array([0, 1, 1])])
+
     def test_iteration_cap_reports_nonconvergence(self):
         rng = np.random.default_rng(3)
         X = np.vstack([rng.normal(-3.0, 1.0, (30, 4)), rng.normal(3.0, 1.0, (30, 4))])
@@ -279,7 +303,22 @@ class TestSolverParity:
                 testing.append((X_test, y[test_idx]))
             layout = fitness._pair_layout([y_train for _, y_train in training])
             X_stacked = np.concatenate([X_train for X_train, _ in training])
-            models = layout.fit(layout.stack(X_stacked), 1.0, 1000)
+            solutions, converged = fitness._solve_squared_hinge(
+                layout.stack(X_stacked), layout.signs, 1.0, 1000
+            )
+            # The machines come fold by fold, one per class pair.
+            models = [
+                t.LinearSVM(
+                    classes=layout.classes,
+                    pairs=layout.pairs,
+                    weights=fold_solutions[:, :-1],
+                    biases=fold_solutions[:, -1],
+                    converged=bool(fold_converged.all()),
+                )
+                for fold_solutions, fold_converged in zip(
+                    np.split(solutions, plan.k), np.split(converged, plan.k)
+                )
+            ]
             percents = []
             for model, (X_train, y_train), (X_test, y_test) in zip(
                 models, training, testing
@@ -403,13 +442,31 @@ class TestPreparedFoldsParity:
     @pytest.mark.parametrize("classifier", fitness.CLASSIFIER_KINDS)
     def test_scores_equal_the_reference(self, classifier):
         n_features = 9
-        scored = 0
+        cases = []
         for n_classes in (2, 3, 4):
             dataset = make_blobs(
                 n_per_class=20, n_features=n_features, informative=(0, 1, 2),
                 separation=1.0, seed=30 + n_classes, n_classes=n_classes,
             )
-            for folds in (5, 10):
+            cases.append((n_classes, dataset, (5, 10)))
+        # Classes of 21, 23 and 25 rows dealt 5 ways give folds of 13 and 14
+        # test rows, so each fold's percent has its own denominator.
+        blobs = make_blobs(
+            n_per_class=25, n_features=n_features, informative=(0, 1, 2),
+            separation=1.0, seed=50, n_classes=3,
+        )
+        keep = np.flatnonzero(np.arange(75) % 25 < np.repeat([21, 23, 25], 25))
+        unequal = t.dataset_from_arrays(
+            "unequal", blobs.instances[keep], blobs.labels[keep]
+        )
+        assert list(unequal.class_counts()) == [21, 23, 25]
+        for fold_seed in (0, 1):
+            plan = t.stratified_folds(unequal, 5, fold_seed)
+            assert sorted(set(np.bincount(plan.assignment).tolist())) == [13, 14]
+        cases.append((3, unequal, (5,)))
+        scored = 0
+        for n_classes, dataset, fold_counts in cases:
+            for folds in fold_counts:
                 for fold_seed in (0, 1):
                     protocol = t.FitnessProtocol(
                         classifier=classifier, folds=folds, fold_seed=fold_seed
@@ -426,7 +483,7 @@ class TestPreparedFoldsParity:
                         assert evaluate(mask) == expected
                         assert t.kfold_accuracy(dataset, mask, protocol) == expected
                         scored += 1
-        assert scored == 108
+        assert scored == 126
 
     def test_statistics_equal_each_folds_own(self):
         # Every stored value is its column standardized alone on the fold's
@@ -824,7 +881,7 @@ print(json.dumps({"accuracies": accuracies, "solutions": digest.hexdigest()}))
 """
 
 
-def test_accuracies_do_not_depend_on_blas_threads(record_property):
+def test_accuracies_do_not_depend_on_blas_threads():
     # Pair machines of 120 columns, where the solver's bits already move
     # between one and two OpenBLAS threads. The variable only takes effect
     # before NumPy loads, hence one process per thread count.
@@ -842,6 +899,5 @@ def test_accuracies_do_not_depend_on_blas_threads(record_property):
         outcomes.append(json.loads(done.stdout))
     one, two = outcomes
     same_bits = one["solutions"] == two["solutions"]
-    record_property("solution_bytes_agree_across_blas_threads", same_bits)
     print(f"solution bytes agree across 1 and 2 BLAS threads: {same_bits}")
     assert one["accuracies"] == two["accuracies"]
