@@ -303,6 +303,9 @@ def _read_matrix(path) -> tuple[list[str], list[str], np.ndarray]:
             )
     datasets = rows[0][1:]
     methods = [row[0] for row in rows[1:]]
+    for kind, names in (("dataset", datasets), ("method", methods)):
+        if repeated := next((n for i, n in enumerate(names) if n in names[:i]), None):
+            raise DataError(f"{path}: {kind} {repeated!r} appears twice")
     try:
         values = np.array([[float(cell) for cell in row[1:]] for row in rows[1:]])
     except ValueError as err:
@@ -351,17 +354,22 @@ def _cmd_collect(args: argparse.Namespace) -> int:
                 f"{path}: not a report.json: it needs a string 'dataset_name' "
                 f"and an 'accuracy_mean' from 0 to 100"
             )
+        if name in names:
+            first = args.reports[names.index(name)]
+            raise DataError(f"{path}: dataset {name!r} is already given by {first}")
         names.append(name)
         accuracies.append(float(accuracy))
     out = Path(args.out)
     rows = [["method", *names]]  # a new or empty file starts a new matrix
     if out.exists() and out.stat().st_size:
-        _, datasets, _ = _read_matrix(out)  # a corrupt matrix is left as it is
+        methods, datasets, _ = _read_matrix(out)  # a corrupt matrix is left as it is
         if datasets != names:
             raise DataError(
                 f"{out}: existing matrix covers datasets {datasets}, "
                 f"these reports cover {names}"
             )
+        if args.method in methods:
+            raise DataError(f"{out}: method {args.method!r} is already a row")
         with open(out, newline="") as handle:
             rows = list(csv.reader(handle))
     rows.append([args.method, *[f"{a:.6f}" for a in accuracies]])

@@ -11,11 +11,12 @@ leave and fresh individuals fill under-full ones.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Population, Tribe, best_index, best_individual, histogram, rank_key
+from .core import Population, Tribe, best_index, best_individual, rank_key, score, weakest
 from .genesis import allocate_counts, sample_counts
 
 __all__ = [
@@ -64,28 +65,20 @@ def _resize_tribe(
     individuals = tribe.individuals
     elite_idx = best_index(tribe)
     keep = individuals[elite_idx].count
-    target = allocate_counts(tribe.n_features, tribe.mu, tribe.sigma, new_size, keep)
-    current = histogram(tribe)
+    target = Counter(
+        allocate_counts(tribe.n_features, tribe.mu, tribe.sigma, new_size, keep)
+    )
+    current = Counter(ind.count for ind in individuals)
     doomed: set[int] = set()
-    for m, have in current.items():
-        surplus = have - target.get(m, 0)
-        if surplus > 0:
-            # The weakest of the bin leave, the tribe's best never. A bin is one
-            # cardinality, so rank_key orders it by fitness alone; the reversed
-            # stable sort puts the weakest first and, among ties, the lower slot.
-            peers = [
-                i for i, ind in enumerate(individuals) if ind.count == m and i != elite_idx
-            ]
-            peers.sort(key=lambda i: rank_key(individuals[i]), reverse=True)
-            doomed.update(peers[:surplus])
-    missing = {
-        m: want - current.get(m, 0)
-        for m, want in target.items()
-        if want > current.get(m, 0)
-    }
-    newcomers = sample_counts(tribe.n_features, missing, rng)
-    for ind in newcomers:
-        ind.fitness = fitness_fn(ind)
+    # A Counter difference keeps the positive bins: the over-full ones here.
+    for m, surplus in (current - target).items():
+        # The weakest of the bin leave, the tribe's best never.
+        peers = [
+            i for i, ind in enumerate(individuals) if ind.count == m and i != elite_idx
+        ]
+        doomed.update(weakest(individuals, peers, surplus))
+    newcomers = sample_counts(tribe.n_features, target - current, rng)
+    score(newcomers, fitness_fn)
     survivors = [ind for idx, ind in enumerate(individuals) if idx not in doomed]
     return Tribe(individuals=survivors + newcomers, mu=tribe.mu, sigma=tribe.sigma)
 
@@ -107,16 +100,11 @@ def apply_competition(
         return population, None
     order = rank_tribes(population)
     winner = order[0]
-    loser = None
-    for idx in reversed(order):
-        if idx == winner:
-            continue
-        if population.tribes[idx].size - config.stake >= config.min_tribe_size:
-            loser = idx
-            break
+    tribes = list(population.tribes)
+    floor = config.min_tribe_size + config.stake
+    loser = next((i for i in reversed(order[1:]) if tribes[i].size >= floor), None)
     if loser is None:
         return population, None
-    tribes = list(population.tribes)
     tribes[winner] = _resize_tribe(
         tribes[winner], tribes[winner].size + config.stake, fitness_fn, rng
     )

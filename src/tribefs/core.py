@@ -5,9 +5,11 @@ means feature i is part of the candidate subset. It is held packed, eight
 features per byte, and those bytes are its one key: its storage, its
 fitness-cache key and its tie-break order. A tribe is an ordered list
 of individuals whose selected-feature counts cluster around a target
-cardinality, and a population is the full collection of tribes. Everything
-here is a container or a pure query; the genetic operators that mutate state
-live in :mod:`tribefs.evolution` and :mod:`tribefs.competition`.
+cardinality, and a population is the full collection of tribes. Beside
+them sit the rules the operators share, each stated once: :func:`rank_key`,
+:func:`best_index`, :func:`weakest` and :func:`score`, the engine's one way
+to a fitness function. The operators live in :mod:`tribefs.evolution` and
+:mod:`tribefs.competition`.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ __all__ = [
     "rank_key",
     "best_index",
     "best_individual",
+    "weakest",
+    "score",
     "mask_from_string",
     "mask_to_string",
 ]
@@ -206,6 +210,21 @@ def best_index(tribe: Tribe) -> int:
 def best_individual(tribe: Tribe) -> Individual:
     """The tribe's best individual under the :func:`best_index` ordering."""
     return tribe.individuals[best_index(tribe)]
+
+
+def weakest(individuals: list[Individual], slots, k: int) -> list[int]:
+    """The ``k`` of ``slots`` last in :func:`rank_key` order, weakest first.
+
+    Ties go to the lower slot. Elitism replaces one; a contest evicts a bin's surplus.
+    """
+    return sorted(slots, key=lambda i: (rank_key(individuals[i]), -i), reverse=True)[:k]
+
+
+def score(individuals, fitness_fn) -> None:
+    """Give each individual without a fitness one from ``fitness_fn``, in order."""
+    for individual in individuals:
+        if individual.fitness is None:
+            individual.fitness = fitness_fn(individual)
 
 
 def mask_from_string(bits: str) -> np.ndarray:

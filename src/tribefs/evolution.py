@@ -5,14 +5,15 @@ selection resamples individuals, crossover pairs parents of one cardinality
 and keeps it via a union-and-repair construction, and mutation only
 moves an individual between adjacent cardinality classes by simultaneously
 moving a partner the opposite way. Crossover builds only the child it keeps
-but still takes the mirror child's repair draw, so the random stream is
-that of building both. Children are built with integer operations on
+and takes one repair draw whenever its parents overlap between the cuts,
+whether or not that child needs the repair, so the random stream is that
+of building both children. Children are built with integer operations on
 their parents' packed keys (:meth:`Individual.key`, eight features per
 byte); a mask is unpacked only where NumPy lists positions for a draw: a
 repair's unset positions and a mutation partner's candidate positions. A
 generation is rank selection, matched crossover, paired mutation,
-evaluation, and elitist inheritance, in that order. Best and weakest are
-both read off :func:`~tribefs.core.rank_key`, ties going to the lower slot.
+scoring (:func:`~tribefs.core.score`), and elitist inheritance, in that
+order; the elite replaces its class's :func:`~tribefs.core.weakest` member.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Individual, Tribe, best_index, best_individual, rank_key
+from .core import Individual, Tribe, best_index, best_individual, score, weakest
 
 __all__ = [
     "EvolutionConfig",
@@ -109,13 +110,12 @@ def count_preserving_crossover(
     again. Parents of unequal cardinality, which :func:`evolve_generation`
     never pairs, raise a ValueError before any draw.
 
-    The mirror child (``parent_i``'s prefix with ``parent_j``'s suffix) is
-    not built, but its repair draw is still taken, so the generator's stream
-    is that of building both. Call the bits both parents set between the
-    two cuts "doubled": the child whose halves overlap there loses them.
-    That is this child when ``cut_i`` is the lower cut, and the mirror child
-    otherwise, which would then choose its ``doubled`` bits among
-    ``n - count + doubled`` unset ones.
+    Call the bits both parents set between the two cuts "doubled". The child
+    whose halves overlap there loses them and repairs from its
+    ``n - count + doubled`` unset positions: this child when ``cut_i`` is the
+    lower cut, else the mirror (``parent_i``'s prefix, ``parent_j``'s
+    suffix), which is not built. So one draw of ``doubled`` indices is taken
+    whenever ``doubled > 0``, and only this child uses it.
     """
     n = parent_i.n_features
     if parent_j.n_features != n:
@@ -138,13 +138,13 @@ def count_preserving_crossover(
     middle = (bits_i | bits_j) & window if cut_i < cut_j else 0
     prefix = (bits_j >> (width - low)) << (width - low)
     child = prefix | middle | (bits_i & ((1 << (width - high)) - 1))
-    if doubled and cut_i < cut_j:
-        packed = np.frombuffer(child.to_bytes(width // 8, "big"), np.uint8)
-        unset = np.flatnonzero(np.unpackbits(packed, count=n) == 0)
-        for position in rng.choice(unset, size=doubled, replace=False).tolist():
-            child |= 1 << (width - 1 - position)
-    elif doubled:
-        rng.choice(n - parent_j.count + doubled, size=doubled, replace=False)
+    if doubled:
+        picks = rng.choice(n - parent_i.count + doubled, size=doubled, replace=False)
+        if cut_i < cut_j:
+            packed = np.frombuffer(child.to_bytes(width // 8, "big"), np.uint8)
+            unset = np.flatnonzero(np.unpackbits(packed, count=n) == 0)
+            for position in unset[picks].tolist():
+                child |= 1 << (width - 1 - position)
     return Individual.from_key(child.to_bytes(width // 8, "big"), n)
 
 
@@ -237,7 +237,7 @@ def evolve_generation(
     by its crossover child with the partner, which keeps the slot's own
     cardinality (probability ``crossover_rate``), or by the partner itself;
     unmatched slots keep their current individual. Paired mutation follows,
-    new individuals are evaluated with ``fitness_fn``, and finally the
+    new individuals are scored with ``fitness_fn``, and finally the
     previous generation's best individual replaces the weakest individual of
     its own cardinality class, so the best fitness never decreases and the
     histogram never changes.
@@ -265,14 +265,9 @@ def evolve_generation(
     mutated = paired_mutation(
         Tribe(individuals=successors, mu=tribe.mu, sigma=tribe.sigma), config, rng
     )
-    for ind in mutated.individuals:
-        if ind.fitness is None:
-            ind.fitness = fitness_fn(ind)
-
-    # One cardinality, so rank_key orders the class by fitness alone: the
-    # weakest is the last in that order, and max keeps the lowest such slot.
     individuals = mutated.individuals
+    score(individuals, fitness_fn)
     peers = [i for i, ind in enumerate(individuals) if ind.count == previous_best.count]
-    weakest = max(peers, key=lambda i: rank_key(individuals[i]))
-    individuals[weakest] = previous_best
+    (slot,) = weakest(individuals, peers, 1)
+    individuals[slot] = previous_best
     return mutated

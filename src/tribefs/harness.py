@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .competition import CompetitionConfig, apply_competition
-from .core import Individual, Population, best_individual, mask_to_string, rank_key
+from .core import Individual, Population, best_individual, mask_to_string, rank_key, score
 from .data import (
     DataError,
     Dataset,
@@ -395,9 +395,7 @@ def generations(
         seed.entropy, spawn_key=seed.spawn_key, pool_size=seed.pool_size
     ).spawn(3)
     population = init_population(plan, np.random.default_rng(init_seed))
-    for tribe in population.tribes:
-        for individual in tribe.individuals:
-            individual.fitness = evaluate(individual)
+    score([ind for tribe in population.tribes for ind in tribe.individuals], evaluate)
     yield 0, population, None
 
     evolution = config.evolution()

@@ -15,6 +15,16 @@ second's repair draw without building it, so ``crossover_with_mirror``
 demands the same first child and the same generator state, and hands tests
 the mirror child to check as well.
 
+``two_branch_crossover`` is the library's crossover as it was before its
+repair draw became one: a child that needs the repair draws from its unset
+positions, and a mirror that would need it draws as many indices without
+using them. It is kept verbatim, so the tests can demand the same child and
+the same generator state from the one-draw form.
+
+``weakest_by_max`` and ``weakest_by_sort`` are the two ways the library
+once picked a bin's weakest members: elitism's ``max`` over the class and
+the contest's reversed stable sort. Both take slots in ascending order.
+
 ``brute_force_histogram`` recounts a tribe's selected-count histogram with
 plain Python loops over ``mask.tolist()``; property tests use it to catch
 vectorization mistakes and a wrong cached count alike.
@@ -25,6 +35,8 @@ import copy
 import numpy as np
 
 import tribefs as t
+from tribefs.core import Individual
+from tribefs.evolution import _prefix_end
 
 
 def count_selected(individual: t.Individual) -> int:
@@ -165,6 +177,76 @@ def crossover_with_mirror(
     assert child.key() == want_i.key()
     assert rng.bit_generator.state == twin.bit_generator.state
     return child, want_j
+
+
+def two_branch_crossover(
+    parent_i: Individual,
+    parent_j: Individual,
+    cut_i: int,
+    rng: np.random.Generator,
+) -> Individual:
+    """Single-point crossover child of two parents of one cardinality.
+
+    The cut in the second parent is not free: it is the shortest prefix of
+    ``parent_j`` containing exactly as many set bits as ``parent_i`` has
+    before ``cut_i``, which equal counts always provide. The child is the
+    union of ``parent_j``'s prefix with ``parent_i``'s suffix; positions
+    present in both halves collapse, so any deficit is repaired by setting
+    uniformly chosen unset bits until the child's count is its parents'
+    again. Parents of unequal cardinality, which :func:`evolve_generation`
+    never pairs, raise a ValueError before any draw.
+
+    The mirror child (``parent_i``'s prefix with ``parent_j``'s suffix) is
+    not built, but its repair draw is still taken, so the generator's stream
+    is that of building both. Call the bits both parents set between the
+    two cuts "doubled": the child whose halves overlap there loses them.
+    That is this child when ``cut_i`` is the lower cut, and the mirror child
+    otherwise, which would then choose its ``doubled`` bits among
+    ``n - count + doubled`` unset ones.
+    """
+    n = parent_i.n_features
+    if parent_j.n_features != n:
+        raise ValueError("parents must share one feature count")
+    if parent_j.count != parent_i.count:
+        raise ValueError("parents must share one cardinality")
+    if not 1 <= cut_i <= n - 1:
+        raise ValueError(f"cut must lie in [1, {n - 1}]")
+    key_i = parent_i.key()
+    width = 8 * len(key_i)
+    # Feature p is bit width - 1 - p, so a prefix of the mask is the integer's high end.
+    bits_i = int.from_bytes(key_i, "big")
+    bits_j = int.from_bytes(parent_j.key(), "big")
+    prefix_count = (bits_i >> (width - cut_i)).bit_count()
+    cut_j = _prefix_end(bits_j, width, prefix_count)
+    low, high = sorted((cut_i, cut_j))
+    window = (1 << (width - low)) - (1 << (width - high))
+    doubled = (bits_i & bits_j & window).bit_count()
+    # Between the cuts the child holds both parents' bits if cut_i is lower, else none.
+    middle = (bits_i | bits_j) & window if cut_i < cut_j else 0
+    prefix = (bits_j >> (width - low)) << (width - low)
+    child = prefix | middle | (bits_i & ((1 << (width - high)) - 1))
+    if doubled and cut_i < cut_j:
+        packed = np.frombuffer(child.to_bytes(width // 8, "big"), np.uint8)
+        unset = np.flatnonzero(np.unpackbits(packed, count=n) == 0)
+        for position in rng.choice(unset, size=doubled, replace=False).tolist():
+            child |= 1 << (width - 1 - position)
+    elif doubled:
+        rng.choice(n - parent_j.count + doubled, size=doubled, replace=False)
+    return Individual.from_key(child.to_bytes(width // 8, "big"), n)
+
+
+def weakest_by_max(individuals: list[t.Individual], slots: list[int]) -> int:
+    """Elitism's pick: the last slot in rank_key order, max keeping the lowest."""
+    return max(slots, key=lambda i: t.rank_key(individuals[i]))
+
+
+def weakest_by_sort(
+    individuals: list[t.Individual], slots: list[int], k: int
+) -> list[int]:
+    """A contest's eviction: the reversed stable sort's first ``k`` slots."""
+    peers = list(slots)
+    peers.sort(key=lambda i: t.rank_key(individuals[i]), reverse=True)
+    return peers[:k]
 
 
 def brute_force_histogram(tribe: t.Tribe) -> t.CountHistogram:

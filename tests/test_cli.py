@@ -547,13 +547,15 @@ class TestStatsCommands:
             ("method,wine,zoo\nalpha,97.0\n", "ragged matrix"),
             ("method,a,b\nx,1,2\ny,1\n", "ragged matrix: line 3 has 2 cells, the header 3"),
             ("method,wine\nalpha,97.0\n\n", "ragged matrix: line 3 has 0 cells"),
+            ("method,wine,wine\nx,1,2\ny,3,4\n", "dataset 'wine' appears twice"),
+            ("method,a,b\nx,1,2\ny,3,4\nx,5,6\n", "method 'x' appears twice"),
         ],
     )
     def test_matrix_of_the_wrong_shape_exits_one(self, tmp_path, capsys, text, message):
         path = tmp_path / "bad.csv"
         path.write_text(text)
         assert main(["stats", "friedman", str(path)]) == 1
-        assert message in capsys.readouterr().err
+        assert f"error: {path}: {message}" in capsys.readouterr().err
 
     def test_without_scipy_names_the_extra(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setitem(sys.modules, "scipy", None)  # as if not installed
@@ -622,6 +624,35 @@ class TestStatsCommands:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {matrix}: ") and err.count("\n") == 1
         assert matrix.read_text() == "method,blobs\nx,abc\ny,1,2\n"
+
+    def test_collect_refuses_one_dataset_twice(self, tmp_path, capsys):
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        for report in (first, second):
+            report.write_text('{"dataset_name": "wine", "accuracy_mean": 90.0}')
+        matrix = tmp_path / "m.csv"
+        for reports in ([first, first], [first, second]):
+            code = main([
+                "stats", "collect", *map(str, reports),
+                "--method", "x", "--out", str(matrix),
+            ])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err == (
+                f"error: {reports[1]}: dataset 'wine' is already given by {first}\n"
+            )
+            assert not matrix.exists()
+
+    def test_collect_refuses_a_method_that_is_already_a_row(self, tmp_path, capsys):
+        report = tmp_path / "r.json"
+        report.write_text('{"dataset_name": "wine", "accuracy_mean": 90.0}')
+        matrix = tmp_path / "m.csv"
+        command = ["stats", "collect", str(report), "--method", "a", "--out", str(matrix)]
+        assert main(command) == 0
+        written = matrix.read_text()
+        capsys.readouterr()
+        assert main(command) == 1
+        assert capsys.readouterr().err == f"error: {matrix}: method 'a' is already a row\n"
+        assert matrix.read_text() == written
 
     @pytest.mark.parametrize(
         "text",

@@ -307,6 +307,59 @@ class TestBestIndividual:
             t.best_index(tribe)
 
 
+def _member(count, fitness, width=4):
+    return t.Individual([1] * count + [0] * (width - count), fitness=fitness)
+
+
+class TestWeakest:
+    def test_ties_go_to_the_lower_slot(self):
+        specs = [(2, 70.0), (2, 50.0), (3, 50.0), (2, 50.0), (2, 90.0)]
+        individuals = [_member(*spec) for spec in specs]
+        assert t.weakest(individuals, [0, 1, 3, 4], 1) == [1]
+        assert t.weakest(individuals, [0, 1, 3, 4], 3) == [1, 3, 0]
+        # At equal fitness the wider subset ranks lower.
+        assert t.weakest(individuals, [1, 2, 3], 2) == [2, 1]
+        assert t.weakest(individuals, [4, 3, 1], 2) == [1, 3]
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(1, 3), st.sampled_from([50.0, 60.0, 70.0])),
+            min_size=1,
+            max_size=25,
+        ),
+        st.data(),
+    )
+    def test_matches_the_max_and_the_reversed_stable_sort(self, members, data):
+        # Three fitness values over up to 25 members: most picks break a tie.
+        individuals = [_member(count, fitness) for count, fitness in members]
+        slots = sorted(data.draw(st.sets(st.integers(0, len(members) - 1), min_size=1)))
+        k = data.draw(st.integers(1, len(slots) + 1))
+        assert t.weakest(individuals, slots, 1) == [
+            engine_reference.weakest_by_max(individuals, slots)
+        ]
+        assert t.weakest(individuals, slots, k) == engine_reference.weakest_by_sort(
+            individuals, slots, k
+        )
+
+
+class TestScore:
+    def test_scores_each_member_without_a_fitness_once_in_order(self):
+        first, scored, last = (
+            t.Individual(t.mask_from_string(bits)) for bits in ("100", "010", "001")
+        )
+        scored.fitness = 75.0
+        calls = []
+
+        def fitness_fn(individual):
+            calls.append(individual)
+            return 10.0 * len(calls)
+
+        t.score([first, scored, last, first], fitness_fn)
+        assert len(calls) == 2
+        assert calls[0] is first and calls[1] is last
+        assert (first.fitness, scored.fitness, last.fitness) == (10.0, 75.0, 20.0)
+
+
 class TestPopulation:
     def test_size_sums_tribes(self):
         tribes = [make_tribe({4: 3}, seed=s) for s in range(3)]

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -256,7 +258,8 @@ def _crossover_case(rng):
 
 
 class TestCrossoverMatchesReference:
-    """One child, built or not, draws exactly as the two-child original."""
+    """One child and one repair draw: the two-child original's stream, and
+    the two-branch form's, whose mirror took its own draw."""
 
     def test_stream_parity_over_seeded_pairs(self):
         rng = np.random.default_rng(20240612)
@@ -271,9 +274,11 @@ class TestCrossoverMatchesReference:
                 "cut_j at cut_i",
                 "child repaired",
                 "mirror repaired",
+                "none doubled",
             ],
             0,
         )
+        widths = set()
         for _ in range(6000):
             parent_i, parent_j, cut = _crossover_case(rng)
             n, mask_i, mask_j = parent_i.n_features, parent_i.mask, parent_j.mask
@@ -282,9 +287,16 @@ class TestCrossoverMatchesReference:
             seen["empty prefix"] += prefix == 0
             seen["cut 1"] += cut == 1
             seen["cut n - 1"] += cut == n - 1
+            twin = copy.deepcopy(rng)
             child, mirror = engine_reference.crossover_with_mirror(
                 parent_i, parent_j, cut, rng
             )
+            two_branch = engine_reference.two_branch_crossover(
+                parent_i, parent_j, cut, twin
+            )
+            assert two_branch.key() == child.key()
+            assert twin.bit_generator.state == rng.bit_generator.state
+            widths.add(n)
             cut_j = int(np.flatnonzero(mask_j)[prefix - 1]) + 1 if prefix else 0
             low, high = sorted((cut, cut_j))
             doubled = int((mask_i[low:high] & mask_j[low:high]).sum())
@@ -293,9 +305,11 @@ class TestCrossoverMatchesReference:
             seen["cut_j at cut_i"] += cut_j == cut
             seen["child repaired"] += cut < cut_j and doubled > 0
             seen["mirror repaired"] += cut > cut_j and doubled > 0
+            seen["none doubled"] += cut != cut_j and doubled == 0
             assert child.count == parent_i.count
             assert mirror.count == parent_j.count
         assert min(seen.values()) >= 50, seen
+        assert widths == set(range(2, 301))
 
 
 class TestPairedMutation:

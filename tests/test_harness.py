@@ -7,7 +7,7 @@ import pytest
 
 import tribefs as t
 
-from conftest import make_blobs
+from conftest import make_blobs, surrogate_fitness
 
 
 def tiny_config(**overrides):
@@ -489,6 +489,36 @@ class TestGenerationLoop:
             for run in range(2)
             for generation in (2, 4, 6)
         ]
+
+    def test_fitness_is_reached_only_through_score(self, small_dataset, monkeypatch):
+        # Generation 0, evolution and contest newcomers all score through
+        # core.score, so batching or timing fitness has one call site.
+        import tribefs.competition as competition
+        import tribefs.evolution as evolution
+        import tribefs.harness as harness
+
+        inside, scored = [False], []
+
+        def watched_score(individuals, fitness_fn):
+            inside[0] = True
+            try:
+                t.score(individuals, fitness_fn)
+            finally:
+                inside[0] = False
+
+        def fitness_fn(individual):
+            assert inside[0], "fitness reached outside score"
+            scored.append(individual)
+            return surrogate_fitness(individual)
+
+        for module in (harness, evolution, competition):
+            monkeypatch.setattr(module, "score", watched_score)
+        config = tiny_config(max_generations=4, competition_interval=1)
+        plan = config.plan(small_dataset.n_features)
+        seed = np.random.SeedSequence(config.seed)
+        *_, (_, _, event) = t.generations(plan, config, fitness_fn, seed)
+        assert event is not None
+        assert len(scored) > plan.population_size
 
     def test_generator_yields_every_generation(self, small_dataset):
         config = tiny_config(max_generations=5, competition_interval=2)
